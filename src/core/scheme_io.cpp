@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "util/assert.hpp"
 #include "util/serialize.hpp"
 
 namespace croute {
@@ -10,6 +11,13 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x63726F7574657A31ULL;  // "croutez1"
 constexpr std::uint32_t kVersion = 1;
+
+// Smallest on-disk size of one element, for SpanReader::count: a table
+// entry is 12 fixed fields; a label entry is 4 fixed fields plus the
+// u64 count of its light-port array.
+constexpr std::uint64_t kTableEntryBytes = 4 * 2 + 8 + 4 * 7 + 4 * 2;
+constexpr std::uint64_t kLabelEntryBytes = 4 * 2 + 8 + 4 + 8;
+constexpr std::uint64_t kMaxLabelEntries = 64;
 
 }  // namespace
 
@@ -32,7 +40,7 @@ std::uint64_t graph_fingerprint(const Graph& g) {
 /// the only code with cross-class layout knowledge.
 class SchemeSerializer {
  public:
-  static void save(BinaryWriter& w, const TZScheme& s) {
+  static void save(BufferWriter& w, const TZScheme& s) {
     w.u64(kMagic);
     w.u32(kVersion);
     w.u64(graph_fingerprint(*s.g_));
@@ -110,7 +118,7 @@ class SchemeSerializer {
     }
   }
 
-  static TZScheme load(BinaryReader& r, const Graph& g) {
+  static TZScheme load(SpanReader& r, const Graph& g) {
     CROUTE_REQUIRE(r.u64() == kMagic, "not a croute scheme stream");
     CROUTE_REQUIRE(r.u32() == kVersion, "unsupported scheme version");
     CROUTE_REQUIRE(r.u64() == graph_fingerprint(g),
@@ -158,7 +166,7 @@ class SchemeSerializer {
     s.tables_.resize(num_tables);
     Rng hash_rng(graph_fingerprint(g) ^ 0x68617368u);  // derived state only
     for (VertexTable& t : s.tables_) {
-      t.entries_.resize(r.u64());
+      t.entries_.resize(r.count(kTableEntryBytes));
       for (TableEntry& e : t.entries_) {
         e.w = r.u32();
         e.level = r.u32();
@@ -198,9 +206,10 @@ class SchemeSerializer {
     s.labels_.resize(num_labels);
     for (RoutingLabel& l : s.labels_) {
       l.t = r.u32();
-      l.entries.resize(r.u64());
-      CROUTE_REQUIRE(!l.entries.empty() && l.entries.size() <= 64,
+      const std::uint64_t entries = r.count(kLabelEntryBytes);
+      CROUTE_REQUIRE(entries >= 1 && entries <= kMaxLabelEntries,
                      "corrupt label block");
+      l.entries.resize(entries);
       for (LabelEntry& e : l.entries) {
         e.level = r.u32();
         e.w = r.u32();
@@ -213,26 +222,43 @@ class SchemeSerializer {
   }
 };
 
-void save_scheme(std::ostream& os, const TZScheme& scheme) {
-  BinaryWriter w(os);
+void save_scheme(const TZScheme& scheme, std::string& out) {
+  BufferWriter w(out);
   SchemeSerializer::save(w, scheme);
 }
 
-TZScheme load_scheme(std::istream& is, const Graph& g) {
-  BinaryReader r(is);
-  return SchemeSerializer::load(r, g);
+std::string save_scheme(const TZScheme& scheme) {
+  std::string out;
+  save_scheme(scheme, out);
+  return out;
+}
+
+TZScheme load_scheme(std::string_view bytes, const Graph& g) {
+  SpanReader r(bytes);
+  TZScheme s = SchemeSerializer::load(r, g);
+  CROUTE_REQUIRE(r.done(), std::to_string(r.remaining()) +
+                               " trailing bytes after the scheme");
+  return s;
 }
 
 void save_scheme_file(const std::string& path, const TZScheme& scheme) {
+  const std::string bytes = save_scheme(scheme);
   std::ofstream os(path, std::ios::binary);
   CROUTE_REQUIRE(os.good(), "cannot open " + path + " for writing");
-  save_scheme(os, scheme);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  os.close();  // flushes; a failed flush must surface here
+  CROUTE_REQUIRE(!os.fail(), "write failed for " + path);
 }
 
 TZScheme load_scheme_file(const std::string& path, const Graph& g) {
-  std::ifstream is(path, std::ios::binary);
-  CROUTE_REQUIRE(is.good(), "cannot open " + path);
-  return load_scheme(is, g);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = is.tellg();
+  CROUTE_REQUIRE(is.good() && size >= 0, "cannot open " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  is.seekg(0);
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  CROUTE_REQUIRE(is.good(), "cannot read " + path);
+  return load_scheme(bytes, g);
 }
 
 }  // namespace croute

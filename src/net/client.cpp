@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -226,19 +227,42 @@ std::vector<WireAnswer> NetClient::query(std::span<const WireQuery> queries,
 
 std::vector<OwnedLabel> NetClient::fetch_labels(
     std::span<const VertexId> vertices) {
-  send_label_req(vertices);
-  Reply reply;
-  while (read_reply(reply)) {
-    if (reply.type == static_cast<std::uint8_t>(FrameType::kLabelResp)) {
-      return std::move(reply.labels);
-    }
+  // Requests go out in parts. The server refuses a part whose LABEL_RESP
+  // would not fit one frame (kErrMalformed); the part is then halved and
+  // retried, so any count works at any label size. A part of one vertex
+  // that still fails is a real error and surfaces.
+  constexpr std::size_t kFirstPart = 1024;
+  std::vector<OwnedLabel> out;
+  out.reserve(vertices.size());
+  std::size_t part = kFirstPart;
+  for (std::size_t off = 0; off < vertices.size();) {
+    const auto req = vertices.subspan(off, std::min(part, vertices.size() - off));
+    send_label_req(req);
+    Reply reply;
+    do {
+      if (!read_reply(reply)) {
+        throw std::runtime_error(
+            "net client: connection closed awaiting labels");
+      }
+    } while (reply.type != static_cast<std::uint8_t>(FrameType::kLabelResp) &&
+             reply.type != static_cast<std::uint8_t>(FrameType::kError));
     if (reply.type == static_cast<std::uint8_t>(FrameType::kError)) {
+      if (reply.error_code == kErrMalformed && req.size() > 1) {
+        part = req.size() / 2;
+        continue;
+      }
       throw std::runtime_error("net client: server error " +
                                std::to_string(reply.error_code) + ": " +
                                reply.error_message);
     }
+    if (reply.labels.size() != req.size()) {
+      throw std::runtime_error("net client: LABEL_RESP does not match its "
+                               "LABEL_REQ");
+    }
+    for (OwnedLabel& l : reply.labels) out.push_back(std::move(l));
+    off += req.size();
   }
-  throw std::runtime_error("net client: connection closed awaiting labels");
+  return out;
 }
 
 bool NetClient::ping() {

@@ -86,7 +86,9 @@ class NetClient {
   /// carrying the server message on ERROR.
   std::vector<WireAnswer> query(std::span<const WireQuery> queries,
                                 bool labeled = false);
-  /// Fetches wire labels for \p vertices (QUERY_L addressing material).
+  /// Fetches wire labels for \p vertices (QUERY_L addressing material),
+  /// in order. Any count works: the request is split into parts whose
+  /// LABEL_RESP fits one frame.
   std::vector<OwnedLabel> fetch_labels(std::span<const VertexId> vertices);
   /// Round-trips a PING and returns true when the echo matched.
   bool ping();

@@ -462,6 +462,19 @@ void handle_label_req(LoopCtx& ctx, NetServer::Conn& c, const Frame& f) {
   }
   ctx.im.payload.clear();
   encode_label_resp(ctx.im.payload, labels);
+  if (ctx.im.payload.size() > kMaxPayload) {
+    // One frame cannot carry the answer. Refuse this request alone; the
+    // client splits it (NetClient::fetch_labels does) and the connection
+    // keeps serving.
+    if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
+    push_error(ctx, c, kErrMalformed, 0,
+               "LABEL_RESP for " + std::to_string(vertices.size()) +
+                   " vertices would be " +
+                   std::to_string(ctx.im.payload.size()) +
+                   " bytes, over the 65535-byte kMaxPayload; request fewer "
+                   "vertices");
+    return;
+  }
   push_frame(c, static_cast<std::uint8_t>(FrameType::kLabelResp),
              ctx.im.payload);
 }

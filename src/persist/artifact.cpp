@@ -2,9 +2,7 @@
 
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
-#include <streambuf>
 #include <utility>
 #include <vector>
 
@@ -23,10 +21,10 @@ constexpr std::uint64_t kMagic = 0x31616574756F7263ULL;
 // Section ids. An artifact carries whichever of these its package does;
 // the loader locates them by id, so the order on disk is irrelevant
 // (relocatable) and unknown future ids are a clean version-skew error,
-// never an out-of-bounds read.
+// never an out-of-bounds read. Id 3 held the FlatScheme pools in format
+// 1; format 2 compiles them from the TZ section on load instead.
 constexpr std::uint32_t kSecGraph = 1;      ///< edge list, rebuilt via GraphBuilder
 constexpr std::uint32_t kSecTZ = 2;         ///< scheme_io bytes (TZ preprocessing)
-constexpr std::uint32_t kSecFlatTZ = 3;     ///< FlatScheme pools
 constexpr std::uint32_t kSecFlatCowen = 4;  ///< FlatCowen pools
 constexpr std::uint32_t kSecFlatFull = 5;   ///< FlatFullTable pools
 
@@ -37,97 +35,14 @@ constexpr std::uint32_t kMaxHostLen = 256;
   throw std::invalid_argument("artifact: " + what);
 }
 
-/// Bounds-checked little-endian reader over a byte span. Unlike
-/// BinaryReader (streams) this never copies payload bytes into an
-/// istream first — sections decode straight out of the mapped artifact —
-/// and every failure carries the absolute byte offset where it died.
-class SpanReader {
- public:
-  SpanReader(std::string_view bytes, std::uint64_t base_offset = 0)
-      : data_(bytes.data()), size_(bytes.size()), base_(base_offset) {}
-
-  std::uint64_t offset() const noexcept { return base_ + pos_; }
-  std::uint64_t remaining() const noexcept { return size_ - pos_; }
-
-  std::uint8_t u8() { return scalar<std::uint8_t>(); }
-  std::uint32_t u32() { return scalar<std::uint32_t>(); }
-  std::uint64_t u64() { return scalar<std::uint64_t>(); }
-  double f64() {
-    const std::uint64_t bits = scalar<std::uint64_t>();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
+std::string read_host(SpanReader& r) {
+  const std::uint32_t len = r.u32();
+  if (len > kMaxHostLen) {
+    reject("implausible string length at byte offset " +
+           std::to_string(r.offset() - 4));
   }
-
-  template <typename T>
-  std::vector<T> vec_u32() {
-    static_assert(sizeof(T) == 4);
-    return vec<T>();
-  }
-  std::vector<std::uint64_t> vec_u64() { return vec<std::uint64_t>(); }
-  std::vector<double> vec_f64() { return vec<double>(); }
-
-  std::string str() {
-    const std::uint64_t len = u32();
-    if (len > kMaxHostLen) {
-      reject("implausible string length at byte offset " +
-             std::to_string(offset() - 4));
-    }
-    need(len);
-    std::string s(data_ + pos_, len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  template <typename T>
-  T scalar() {
-    static_assert(std::endian::native == std::endian::little,
-                  "big-endian hosts need byte swaps here");
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  template <typename T>
-  std::vector<T> vec() {
-    const std::uint64_t count = u64();
-    // A hostile length prefix must fail here, not in operator new: the
-    // remaining span bounds what any honest count can be.
-    if (count > remaining() / sizeof(T)) {
-      reject("implausible array length at byte offset " +
-             std::to_string(offset() - 8));
-    }
-    std::vector<T> v(count);
-    if (count > 0) {
-      std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
-      pos_ += count * sizeof(T);
-    }
-    return v;
-  }
-  void need(std::uint64_t bytes) {
-    if (bytes > remaining()) {
-      reject("truncated at byte offset " + std::to_string(offset()) +
-             " (wanted " + std::to_string(bytes) + " more bytes)");
-    }
-  }
-
-  const char* data_;
-  std::uint64_t size_;
-  std::uint64_t base_;  ///< absolute offset of data_[0] in the artifact
-  std::uint64_t pos_ = 0;
-};
-
-/// Read-only streambuf over artifact bytes, so the TZ section feeds
-/// scheme_io's istream loader without copying megabytes into a string.
-class MemBuf final : public std::streambuf {
- public:
-  MemBuf(const char* p, std::size_t n) {
-    char* b = const_cast<char*>(p);  // setg wants char*; we never write
-    setg(b, b, b + n);
-  }
-};
+  return std::string(r.bytes(len));
+}
 
 struct Section {
   std::uint32_t id = 0;
@@ -146,7 +61,6 @@ const char* section_name(std::uint32_t id) {
   switch (id) {
     case kSecGraph: return "GRAPH";
     case kSecTZ: return "TZ";
-    case kSecFlatTZ: return "FLAT_TZ";
     case kSecFlatCowen: return "FLAT_COWEN";
     case kSecFlatFull: return "FLAT_FULL";
   }
@@ -155,147 +69,17 @@ const char* section_name(std::uint32_t id) {
 
 }  // namespace
 
-/// The friend serializer FlatScheme/FlatCowen/FlatFullTable grant pool
-/// access to (the SchemeSerializer pattern scheme_io uses over TZScheme).
-/// Not in the anonymous namespace — the friend declarations name
+/// The friend serializer FlatCowen/FlatFullTable grant pool access to
+/// (the SchemeSerializer pattern scheme_io uses over TZScheme). Not in the
+/// anonymous namespace — the friend declarations name
 /// croute::ArtifactCodec. Encode writes pools verbatim; decode fills a
-/// default-constructed view, validates every CSR invariant the routers
-/// rely on, rebinds the base pointer, and recomputes the only derived
-/// state (FKS indexes) from the persisted seed — same seed, same bytes.
+/// default-constructed view, validates every invariant the routers rely
+/// on, and rebinds the graph pointer. FlatScheme has no entry here: its
+/// pools are derived from the TZ section and compiled on load.
 class ArtifactCodec {
  public:
-  // --- FlatScheme -----------------------------------------------------------
-  static void encode_flat(BinaryWriter& w, const FlatScheme& f) {
-    w.u8(f.options_.lookup == FlatLookup::kFKS ? 1 : 0);
-    w.u64(f.options_.hash_seed);
-    w.vec_u32(f.tbl_off_);
-    w.vec_u32(f.tbl_key_);
-    w.u64(f.tbl_record_.size());
-    for (const TreeNodeRecord& r : f.tbl_record_) {
-      w.u32(r.dfs_in);
-      w.u32(r.dfs_out);
-      w.u32(r.heavy_in);
-      w.u32(r.heavy_out);
-      w.u32(r.heavy_port);
-      w.u32(r.parent_port);
-      w.u32(r.light_depth);
-    }
-    w.vec_f64(f.tbl_dist_);
-    w.vec_u32(f.tbl_level_);
-    w.vec_u32(f.tbl_own_dfs_);
-    w.vec_u32(f.tbl_own_light_off_);
-    w.vec_u32(f.tbl_own_light_len_);
-    w.vec_u32(f.tbl_light_pool_);
-    w.vec_u32(f.dir_off_);
-    w.vec_u32(f.dir_key_);
-    w.vec_u32(f.dir_dfs_);
-    w.vec_u32(f.dir_light_off_);
-    w.vec_u32(f.dir_light_len_);
-    w.vec_u32(f.dir_light_pool_);
-    w.vec_u32(f.lab_off_);
-    w.u64(f.lab_entries_.size());
-    for (const FlatScheme::LabelEntryView& e : f.lab_entries_) {
-      w.u32(e.level);
-      w.u32(e.w);
-      w.f64(e.dist);
-      w.u32(e.dfs_in);
-      w.u32(e.light_off);
-      w.u32(e.light_len);
-    }
-    w.vec_u32(f.lab_light_pool_);
-    w.vec_u64(f.bits_by_len_);
-    w.u64(f.header_fixed_bits_);
-    w.u32(f.port_bits_);
-  }
-
-  static std::unique_ptr<const FlatScheme> decode_flat(SpanReader& r,
-                                                       const TZScheme& tz) {
-    std::unique_ptr<FlatScheme> f(new FlatScheme());
-    const std::uint8_t lookup = r.u8();
-    if (lookup > 1) reject("FLAT_TZ: unknown lookup layout");
-    f->options_.lookup = lookup == 1 ? FlatLookup::kFKS : FlatLookup::kEytzinger;
-    f->options_.hash_seed = r.u64();
-    f->tbl_off_ = r.vec_u32<std::uint32_t>();
-    f->tbl_key_ = r.vec_u32<VertexId>();
-    const std::uint64_t nrec = r.u64();
-    if (nrec != f->tbl_key_.size()) reject("FLAT_TZ: record/key count mismatch");
-    f->tbl_record_.resize(nrec);
-    for (TreeNodeRecord& rec : f->tbl_record_) {
-      rec.dfs_in = r.u32();
-      rec.dfs_out = r.u32();
-      rec.heavy_in = r.u32();
-      rec.heavy_out = r.u32();
-      rec.heavy_port = r.u32();
-      rec.parent_port = r.u32();
-      rec.light_depth = r.u32();
-    }
-    f->tbl_dist_ = r.vec_f64();
-    f->tbl_level_ = r.vec_u32<std::uint32_t>();
-    f->tbl_own_dfs_ = r.vec_u32<std::uint32_t>();
-    f->tbl_own_light_off_ = r.vec_u32<std::uint32_t>();
-    f->tbl_own_light_len_ = r.vec_u32<std::uint32_t>();
-    f->tbl_light_pool_ = r.vec_u32<Port>();
-    check_csr("FLAT_TZ tables", tz.graph().num_vertices(), f->tbl_off_,
-              f->tbl_key_.size());
-    if (f->tbl_dist_.size() != nrec || f->tbl_level_.size() != nrec ||
-        f->tbl_own_dfs_.size() != nrec || f->tbl_own_light_off_.size() != nrec ||
-        f->tbl_own_light_len_.size() != nrec) {
-      reject("FLAT_TZ: table payload arrays disagree on entry count");
-    }
-    check_slices("FLAT_TZ own-light", f->tbl_own_light_off_,
-                 f->tbl_own_light_len_, f->tbl_light_pool_.size());
-
-    f->dir_off_ = r.vec_u32<std::uint32_t>();
-    f->dir_key_ = r.vec_u32<VertexId>();
-    f->dir_dfs_ = r.vec_u32<std::uint32_t>();
-    f->dir_light_off_ = r.vec_u32<std::uint32_t>();
-    f->dir_light_len_ = r.vec_u32<std::uint32_t>();
-    f->dir_light_pool_ = r.vec_u32<Port>();
-    check_csr("FLAT_TZ directories", tz.graph().num_vertices(), f->dir_off_,
-              f->dir_key_.size());
-    if (f->dir_dfs_.size() != f->dir_key_.size() ||
-        f->dir_light_off_.size() != f->dir_key_.size() ||
-        f->dir_light_len_.size() != f->dir_key_.size()) {
-      reject("FLAT_TZ: directory payload arrays disagree on entry count");
-    }
-    check_slices("FLAT_TZ dir-light", f->dir_light_off_, f->dir_light_len_,
-                 f->dir_light_pool_.size());
-
-    f->lab_off_ = r.vec_u32<std::uint32_t>();
-    const std::uint64_t nlab = r.u64();
-    f->lab_entries_.resize(nlab);
-    for (FlatScheme::LabelEntryView& e : f->lab_entries_) {
-      e.level = r.u32();
-      e.w = r.u32();
-      e.dist = r.f64();
-      e.dfs_in = r.u32();
-      e.light_off = r.u32();
-      e.light_len = r.u32();
-    }
-    f->lab_light_pool_ = r.vec_u32<Port>();
-    check_csr("FLAT_TZ labels", tz.graph().num_vertices(), f->lab_off_, nlab);
-    for (const FlatScheme::LabelEntryView& e : f->lab_entries_) {
-      if (std::uint64_t{e.light_off} + e.light_len >
-          f->lab_light_pool_.size()) {
-        reject("FLAT_TZ: label light slice out of pool bounds");
-      }
-    }
-    f->bits_by_len_ = r.vec_u64();
-    f->header_fixed_bits_ = r.u64();
-    f->port_bits_ = r.u32();
-
-    f->base_ = &tz;
-    // The FKS indexes are derived state: rebuilt from the persisted seed
-    // they come out byte-identical to the original compile's (the same
-    // invariant scheme_io relies on for TZScheme's hash index).
-    f->compile_hashes(nullptr);
-    f->stats_.pool_bytes = f->pool_bytes();
-    f->stats_.threads = 1;
-    return f;
-  }
-
   // --- FlatCowen ------------------------------------------------------------
-  static void encode_cowen(BinaryWriter& w, const FlatCowen& c) {
+  static void encode_cowen(BufferWriter& w, const FlatCowen& c) {
     w.u32(c.n_);
     w.u32(c.id_bits_);
     w.u32(c.num_landmarks_);
@@ -353,7 +137,7 @@ class ArtifactCodec {
   }
 
   // --- FlatFullTable --------------------------------------------------------
-  static void encode_full(BinaryWriter& w, const FlatFullTable& t) {
+  static void encode_full(BufferWriter& w, const FlatFullTable& t) {
     w.u32(t.n_);
     w.u64(t.label_bits_);
     w.vec_u32(t.hops_);
@@ -391,16 +175,6 @@ class ArtifactCodec {
       }
     }
   }
-  static void check_slices(const char* what,
-                           const std::vector<std::uint32_t>& offs,
-                           const std::vector<std::uint32_t>& lens,
-                           std::uint64_t pool) {
-    for (std::size_t i = 0; i < offs.size(); ++i) {
-      if (std::uint64_t{offs[i]} + lens[i] > pool) {
-        reject(std::string(what) + ": slice out of pool bounds");
-      }
-    }
-  }
 };
 
 }  // namespace croute
@@ -413,9 +187,7 @@ std::string isa_stamp() {
   return std::string(simd::ops().name) + "/" + crc32c_backend();
 }
 
-std::string encode_graph_section(const Graph& g) {
-  std::ostringstream os(std::ios::binary);
-  BinaryWriter w(os);
+void encode_graph_section(BufferWriter& w, const Graph& g) {
   w.u32(g.num_vertices());
   w.u64(g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -427,17 +199,11 @@ std::string encode_graph_section(const Graph& g) {
       }
     }
   }
-  return std::move(os).str();
 }
 
-std::shared_ptr<const Graph> decode_graph_section(std::string_view bytes,
-                                                  std::uint64_t base) {
-  SpanReader r(bytes, base);
+std::shared_ptr<const Graph> decode_graph_section(SpanReader r) {
   const VertexId n = r.u32();
-  const std::uint64_t m = r.u64();
-  if (m > bytes.size() / 16) {  // 16 bytes per edge record
-    reject("GRAPH: implausible edge count");
-  }
+  const std::uint64_t m = r.count(16);  // 16 bytes per edge record
   GraphBuilder builder(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     const VertexId u = r.u32();
@@ -453,7 +219,7 @@ std::shared_ptr<const Graph> decode_graph_section(std::string_view bytes,
   return std::make_shared<const Graph>(builder.build());
 }
 
-void write_header(BinaryWriter& w, const ArtifactMeta& meta,
+void write_header(BufferWriter& w, const ArtifactMeta& meta,
                   const std::vector<Section>& sections) {
   w.u64(kMagic);
   w.u32(kArtifactFormatVersion);
@@ -469,9 +235,7 @@ void write_header(BinaryWriter& w, const ArtifactMeta& meta,
   w.u64(meta.graph_digest);
   w.u64(meta.generation);
   w.u32(static_cast<std::uint32_t>(meta.build_host.size()));
-  for (const char c : meta.build_host) {
-    w.u8(static_cast<std::uint8_t>(c));
-  }
+  w.raw(meta.build_host.data(), meta.build_host.size());
   w.u32(static_cast<std::uint32_t>(sections.size()));
   for (const Section& s : sections) {
     w.u32(s.id);
@@ -517,7 +281,7 @@ ParsedHeader parse_header(std::string_view bytes) {
   h.meta.options_digest = r.u64();
   h.meta.graph_digest = r.u64();
   h.meta.generation = r.u64();
-  h.meta.build_host = r.str();
+  h.meta.build_host = read_host(r);
   const std::uint32_t nsec = r.u32();
   if (nsec == 0 || nsec > kMaxSections) {
     reject("implausible section count in header");
@@ -593,6 +357,13 @@ std::string_view section_bytes(std::string_view bytes, const ParsedHeader& h,
   return bytes.substr(s->offset, s->size);
 }
 
+/// A reader over a checked section whose messages carry absolute offsets.
+SpanReader section_reader(std::string_view bytes, const ParsedHeader& h,
+                          std::uint32_t id) {
+  const std::string_view sec = section_bytes(bytes, h, id);
+  return SpanReader(sec, static_cast<std::uint64_t>(sec.data() - bytes.data()));
+}
+
 }  // namespace
 
 std::uint64_t content_options_digest(const RouteServiceOptions& options) {
@@ -631,29 +402,6 @@ std::string encode_package(const SchemePackage& pkg,
     throw std::invalid_argument("encode_package: " + why);
   }
 
-  std::vector<std::pair<std::uint32_t, std::string>> payloads;
-  payloads.emplace_back(kSecGraph, encode_graph_section(*pkg.graph));
-  if (pkg.tz != nullptr) {
-    std::ostringstream os(std::ios::binary);
-    save_scheme(os, *pkg.tz);
-    payloads.emplace_back(kSecTZ, std::move(os).str());
-  }
-  const auto pooled = [&](std::uint32_t id, const auto& view, auto encode) {
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter w(os);
-    encode(w, view);
-    payloads.emplace_back(id, std::move(os).str());
-  };
-  if (pkg.flat != nullptr) {
-    pooled(kSecFlatTZ, *pkg.flat, ArtifactCodec::encode_flat);
-  }
-  if (pkg.flat_cowen != nullptr) {
-    pooled(kSecFlatCowen, *pkg.flat_cowen, ArtifactCodec::encode_cowen);
-  }
-  if (pkg.flat_full != nullptr) {
-    pooled(kSecFlatFull, *pkg.flat_full, ArtifactCodec::encode_full);
-  }
-
   ArtifactMeta meta;
   meta.format_version = kArtifactFormatVersion;
   meta.scheme = pkg.options.scheme;
@@ -669,42 +417,43 @@ std::string encode_package(const SchemePackage& pkg,
   meta.generation = generation;
   meta.build_host = isa_stamp();
 
-  std::vector<Section> sections(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    sections[i].id = payloads[i].first;
-    sections[i].size = payloads[i].second.size();
-    sections[i].crc =
-        crc32c(payloads[i].second.data(), payloads[i].second.size());
-  }
+  std::vector<Section> sections(1);
+  sections[0].id = kSecGraph;
+  if (pkg.tz != nullptr) sections.push_back({kSecTZ});
+  if (pkg.flat_cowen != nullptr) sections.push_back({kSecFlatCowen});
+  if (pkg.flat_full != nullptr) sections.push_back({kSecFlatFull});
 
-  // Two-pass header: the fields are fixed-width, so a dry run with zero
-  // offsets yields the exact header size, which fixes every offset.
-  std::ostringstream dry(std::ios::binary);
-  {
-    BinaryWriter w(dry);
-    write_header(w, meta, sections);
-  }
-  const std::uint64_t header_size = dry.str().size() + 4;  // + header CRC
-  std::uint64_t off = header_size;
-  for (Section& s : sections) {
-    s.offset = off;
-    off += s.size;
-  }
-  std::ostringstream hs(std::ios::binary);
-  {
-    BinaryWriter w(hs);
-    write_header(w, meta, sections);
-  }
-  std::string header = std::move(hs).str();
-  const std::uint32_t header_crc = crc32c(header.data(), header.size());
-  header.append(reinterpret_cast<const char*>(&header_crc), 4);
-
+  // One buffer, one pass. The reservation is a generous estimate (the
+  // TZ section is smaller than the flat pools compiled from it): pages
+  // it never touches are never faulted in, so overshooting is free and
+  // only an undershoot costs a regrowth.
   std::string out;
-  out.reserve(off + 4);
-  out += header;
-  for (const auto& [id, body] : payloads) out += body;
-  const std::uint32_t file_crc = crc32c(out.data(), out.size());
-  out.append(reinterpret_cast<const char*>(&file_crc), 4);
+  out.reserve(4096 + 16 * pkg.graph->num_edges() +
+              (pkg.flat != nullptr ? 2 * pkg.flat->pool_bytes() : 0));
+  BufferWriter w(out);
+  // The header is fixed-width once the section count is known: write it
+  // with zero offsets to claim its bytes, then overwrite it in place.
+  write_header(w, meta, sections);
+  const std::size_t header_len = out.size();
+  w.u32(0);  // header CRC
+  for (Section& sec : sections) {
+    sec.offset = out.size();
+    switch (sec.id) {
+      case kSecGraph: encode_graph_section(w, *pkg.graph); break;
+      case kSecTZ: save_scheme(*pkg.tz, out); break;
+      case kSecFlatCowen: ArtifactCodec::encode_cowen(w, *pkg.flat_cowen); break;
+      case kSecFlatFull: ArtifactCodec::encode_full(w, *pkg.flat_full); break;
+    }
+    sec.size = out.size() - sec.offset;
+    sec.crc = crc32c(out.data() + sec.offset, sec.size);
+  }
+  std::string header;
+  BufferWriter hw(header);
+  write_header(hw, meta, sections);
+  const std::uint32_t header_crc = crc32c(header.data(), header.size());
+  std::memcpy(out.data(), header.data(), header_len);
+  std::memcpy(out.data() + header_len, &header_crc, 4);
+  w.u32(crc32c(out.data(), out.size()));
   return out;
 }
 
@@ -716,12 +465,16 @@ ArtifactMeta read_artifact_meta(std::string_view bytes) {
 
 SchemePackagePtr decode_package(std::string_view bytes,
                                 const RouteServiceOptions& serving,
-                                ArtifactMeta* meta_out) {
+                                ArtifactMeta* meta_out, VertexId expected_n) {
   using clock = std::chrono::steady_clock;
   const auto begin = clock::now();
 
   const ParsedHeader h = parse_header(bytes);
   verify_file_crc(bytes);
+  if (expected_n != 0 && h.meta.n != expected_n) {
+    reject("built for n=" + std::to_string(h.meta.n) +
+           ", service generates n=" + std::to_string(expected_n));
+  }
   if (h.meta.scheme != serving.scheme) {
     reject(std::string("built for scheme '") + scheme_name(h.meta.scheme) +
            "', service runs '" + scheme_name(serving.scheme) + "'");
@@ -741,9 +494,7 @@ SchemePackagePtr decode_package(std::string_view bytes,
   // preprocessing is not a function of the seed.
   pkg->options.warm_start_path = h.meta.warm_started ? "(artifact)" : "";
 
-  const Section* graph_sec = find_section(h, kSecGraph);
-  const std::string_view graph_bytes = section_bytes(bytes, h, kSecGraph);
-  pkg->graph = decode_graph_section(graph_bytes, graph_sec->offset);
+  pkg->graph = decode_graph_section(section_reader(bytes, h, kSecGraph));
   if (graph_fingerprint(*pkg->graph) != h.meta.graph_digest) {
     reject("graph payload does not match its recorded fingerprint");
   }
@@ -752,33 +503,19 @@ SchemePackagePtr decode_package(std::string_view bytes,
   const bool is_tz = serving.scheme == SchemeKind::kTZDirect ||
                      serving.scheme == SchemeKind::kTZHandshake;
   if (is_tz) {
-    const std::string_view tz_bytes = section_bytes(bytes, h, kSecTZ);
-    MemBuf buf(tz_bytes.data(), tz_bytes.size());
-    std::istream is(&buf);
-    pkg->tz = std::make_unique<const TZScheme>(load_scheme(is, g));
+    pkg->tz = std::make_unique<const TZScheme>(
+        load_scheme(section_bytes(bytes, h, kSecTZ), g));
     if (serving.use_flat) {
-      const Section* sec = find_section(h, kSecFlatTZ);
-      const std::string_view fb = section_bytes(bytes, h, kSecFlatTZ);
-      SpanReader r(fb, sec->offset);
-      pkg->flat = ArtifactCodec::decode_flat(r, *pkg->tz);
-      if (pkg->flat->lookup_kind() != serving.flat_lookup) {
-        reject("FLAT_TZ: pooled lookup layout disagrees with the header");
-      }
-      pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
-      pkg->flat_stats = pkg->flat->compile_stats();
+      compile_flat_view(*pkg);
     } else {
       pkg->sim = std::make_unique<const Simulator>(
           g, SimOptions{0, serving.record_paths});
     }
   } else if (serving.scheme == SchemeKind::kCowen) {
-    const Section* sec = find_section(h, kSecFlatCowen);
-    const std::string_view cb = section_bytes(bytes, h, kSecFlatCowen);
-    SpanReader r(cb, sec->offset);
+    SpanReader r = section_reader(bytes, h, kSecFlatCowen);
     pkg->flat_cowen = ArtifactCodec::decode_cowen(r, g);
   } else {
-    const Section* sec = find_section(h, kSecFlatFull);
-    const std::string_view fb = section_bytes(bytes, h, kSecFlatFull);
-    SpanReader r(fb, sec->offset);
+    SpanReader r = section_reader(bytes, h, kSecFlatFull);
     pkg->flat_full = ArtifactCodec::decode_full(r, g);
   }
 

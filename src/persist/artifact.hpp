@@ -4,22 +4,30 @@
 ///
 /// A million-user routing service must survive being killed; paying full
 /// TZ preprocessing plus flat compilation on every start is the cost this
-/// tier removes. An artifact carries everything a generation serves from —
-/// the graph copy, the TZ preprocessing (scheme_io bytes), and the
-/// compiled flat pools for EVERY SchemeKind (the old warm-start path
-/// covered TZ only) — so a restart is a read + verify + pointer fix-up,
-/// not a rebuild.
+/// tier removes. An artifact carries one representation of everything a
+/// generation serves from — the graph copy, the TZ preprocessing
+/// (scheme_io bytes), and the flat pools of the baselines (Cowen and full
+/// table preprocessing have no serialized form) — so a restart is a read,
+/// a verify and a decode, not a rebuild. The flat TZ pools are derived
+/// state and are not stored: decode compiles them from the decoded TZ
+/// scheme through the same compile_flat_view a fresh build uses. The
+/// compile is cheaper than decoding stored pools was, and leaving them
+/// out halves the artifact.
 ///
-/// Layout (all little-endian, util/serialize.hpp):
+/// Layout, format 2 (all little-endian, util/serialize.hpp):
 ///
 ///   header   magic "croutea1" · format version · generation metadata
 ///            (scheme kind, k, sampling, seed, n, options digest, graph
 ///            fingerprint, generation number, build host/ISA stamp) ·
 ///            section table (id, absolute offset, size, CRC32C each) ·
 ///            CRC32C of the header bytes
-///   payload  sections back to back (GRAPH, TZ, FLAT_TZ, FLAT_COWEN,
-///            FLAT_FULL — whichever the package carries)
+///   payload  sections back to back (GRAPH, TZ, FLAT_COWEN, FLAT_FULL —
+///            whichever the package carries)
 ///   trailer  CRC32C of everything before it (whole-file)
+///
+/// Format 1 also stored a FLAT_TZ section; loaders reject it as version
+/// skew, and the service falls back to a fresh build with the reason
+/// recorded.
 ///
 /// The dual stamps — format version for the *container*, the metadata
 /// digests for the *generation* — mean a loader rejects incompatible or
@@ -27,9 +35,9 @@
 /// per-section sums then localize any corruption to the section that
 /// rotted. Loaded state is byte-identical to a fresh build on the same
 /// (graph, options): the TZ bytes go through scheme_io's proven
-/// round-trip, the flat pools are stored verbatim, and the only derived
-/// state (the FKS perfect-hash indexes, bits-by-length tables) is
-/// recomputed from the same seeds it was originally drawn from.
+/// round-trip, the baseline pools are stored verbatim, and everything
+/// derived (the flat TZ pools, FKS perfect-hash indexes) is recompiled
+/// from the same seeds it was originally drawn from.
 ///
 /// Everything here is pure bytes-in/bytes-out; the atomic file lifecycle
 /// (tmp → fsync → rename, MANIFEST, retention, fault injection) lives in
@@ -47,7 +55,7 @@ namespace croute::persist {
 
 /// Container format version (bump on layout changes; loaders reject
 /// anything else — version skew falls back to fresh preprocessing).
-inline constexpr std::uint32_t kArtifactFormatVersion = 1;
+inline constexpr std::uint32_t kArtifactFormatVersion = 2;
 
 /// Generation metadata, readable from the header alone.
 struct ArtifactMeta {
@@ -91,16 +99,19 @@ std::string encode_package(const SchemePackage& pkg,
 /// offsets) on anything torn or alien; does not touch payload decoding.
 ArtifactMeta read_artifact_meta(std::string_view bytes);
 
-/// Full decode: verifies the header AND every section checksum, then
-/// reconstructs the package. Content options must match \p serving
-/// (digest equality); serving-only knobs are taken from \p serving. The
-/// returned package owns its graph and is indistinguishable from a fresh
-/// build_scheme_package on the same (graph, content options) — the
-/// byte-identity contract tests/test_persist.cpp pins. Throws
-/// std::invalid_argument on any mismatch or corruption; never crashes on
-/// hostile bytes (tests/test_fuzz.cpp's mutation corpus).
+/// Full decode: verifies the header, whole-file and section checksums
+/// (each computed once), then reconstructs the package. Content options
+/// must match \p serving (digest equality); serving-only knobs are taken
+/// from \p serving. A non-zero \p expected_n rejects an artifact built for
+/// another vertex count from the header alone. The returned package owns
+/// its graph and is indistinguishable from a fresh build_scheme_package
+/// on the same (graph, content options) — the byte-identity contract
+/// tests/test_persist.cpp pins. Throws std::invalid_argument on any
+/// mismatch or corruption; never crashes on hostile bytes
+/// (tests/test_fuzz.cpp's mutation corpus).
 SchemePackagePtr decode_package(std::string_view bytes,
                                 const RouteServiceOptions& serving,
-                                ArtifactMeta* meta_out = nullptr);
+                                ArtifactMeta* meta_out = nullptr,
+                                VertexId expected_n = 0);
 
 }  // namespace croute::persist

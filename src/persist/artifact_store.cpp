@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -68,13 +69,32 @@ std::string generation_name(std::uint64_t gen) {
   return name;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open " + path);
-  std::ostringstream os;
-  os << is.rdbuf();
-  if (!is.good() && !is.eof()) throw std::runtime_error("cannot read " + path);
-  return std::move(os).str();
+/// A whole file in one buffer of its size: one open, one fstat, and (on
+/// any file a regular read returns whole) one read, with no zero fill.
+struct FileBytes {
+  std::unique_ptr<char[]> data;
+  std::size_t size = 0;
+  std::string_view view() const { return {data.get(), size}; }
+};
+
+FileBytes read_file(const std::string& path) {
+  FdGuard fd;
+  fd.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd.fd < 0) fail_sys("open", path);
+  struct stat st;
+  if (::fstat(fd.fd, &st) != 0) fail_sys("fstat", path);
+  FileBytes out;
+  out.size = static_cast<std::size_t>(st.st_size);
+  out.data = std::make_unique_for_overwrite<char[]>(out.size);
+  std::size_t got = 0;
+  while (got < out.size) {
+    const ssize_t r = ::read(fd.fd, out.data.get() + got, out.size - got);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) fail_sys("read", path);
+    if (r == 0) throw std::runtime_error("file shrank while reading " + path);
+    got += static_cast<std::size_t>(r);
+  }
+  return out;
 }
 
 }  // namespace
@@ -321,16 +341,11 @@ RecoverResult ArtifactStore::recover_newest(const RouteServiceOptions& serving,
     const auto t0 = clock::now();
     try {
       obs::TraceRecorder::Span verify(trace_, "artifact_verify", "persist");
-      const std::string bytes = read_file(path);
-      // Header-only pass first: version skew and torn files bounce here,
-      // before any payload decoding.
-      const ArtifactMeta meta = read_artifact_meta(bytes);
-      if (meta.n != expected_n) {
-        throw std::invalid_argument(
-            "artifact: built for n=" + std::to_string(meta.n) +
-            ", service generates n=" + std::to_string(expected_n));
-      }
-      out.package = decode_package(bytes, serving, &out.meta);
+      const FileBytes file = read_file(path);
+      // Version skew, torn files and a foreign vertex count bounce at the
+      // header, before any payload decoding.
+      out.package =
+          decode_package(file.view(), serving, &out.meta, expected_n);
       verify.finish();
       out.verify_s = seconds_since(t0);
       out.path = path;

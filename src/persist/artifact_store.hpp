@@ -15,8 +15,9 @@
 ///    and swept on the next publish.
 ///  - **recover**: try the MANIFEST's live artifact, then its backup,
 ///    then every `scheme-*.art` in the directory newest-first. Each
-///    candidate is fully verified (header CRC, whole-file CRC, section
-///    CRCs, fingerprints, options digest) before it may serve; every
+///    candidate is read whole (one open, fstat and read) and fully
+///    verified (header CRC, whole-file CRC, section CRCs — each computed
+///    once — fingerprints, options digest) before it may serve; every
 ///    rejection is *recorded, not thrown* — a corrupt store degrades to
 ///    a fresh preprocessing run with a reason string, never a crash.
 ///

@@ -87,6 +87,27 @@ std::uint64_t SchemePackage::table_bits(VertexId v) const {
   return 0;
 }
 
+void compile_flat_view(SchemePackage& pkg) {
+  CROUTE_REQUIRE(pkg.tz != nullptr, "compile_flat_view needs a TZ scheme");
+  FlatSchemeOptions fopt;
+  fopt.lookup = pkg.options.flat_lookup;
+  fopt.hash_seed = mix64(pkg.options.seed ^ 0xf1a7c0def1a7c0deULL);
+  // Shard the compile over a transient pool (per-vertex slices are
+  // disjoint; the compiled bytes are pool-size-invariant). Serial when
+  // only one core is available — the pool would only add queue overhead.
+  const unsigned compile_threads = pkg.options.compile_threads != 0
+                                       ? pkg.options.compile_threads
+                                       : worker_count();
+  std::unique_ptr<ThreadPool> compile_pool;
+  if (compile_threads > 1) {
+    compile_pool = std::make_unique<ThreadPool>(compile_threads);
+    fopt.pool = compile_pool.get();
+  }
+  pkg.flat = std::make_unique<const FlatScheme>(*pkg.tz, fopt);
+  pkg.flat_router = std::make_unique<const FlatRouter>(*pkg.flat);
+  pkg.flat_stats = pkg.flat->compile_stats();
+}
+
 namespace {
 
 /// Shared body of the two public builders. When \p previous is non-null
@@ -152,26 +173,7 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
         Rng rng(options.seed);
         pkg->tz = std::make_unique<const TZScheme>(g, opt, rng);
       }
-      if (options.use_flat) {
-        FlatSchemeOptions fopt;
-        fopt.lookup = options.flat_lookup;
-        fopt.hash_seed = mix64(options.seed ^ 0xf1a7c0def1a7c0deULL);
-        // Shard the compile over a transient pool (per-vertex slices are
-        // disjoint; the compiled bytes are pool-size-invariant). Serial
-        // when only one core is available — the pool would only add
-        // queue overhead.
-        const unsigned compile_threads = options.compile_threads != 0
-                                             ? options.compile_threads
-                                             : worker_count();
-        std::unique_ptr<ThreadPool> compile_pool;
-        if (compile_threads > 1) {
-          compile_pool = std::make_unique<ThreadPool>(compile_threads);
-          fopt.pool = compile_pool.get();
-        }
-        pkg->flat = std::make_unique<const FlatScheme>(*pkg->tz, fopt);
-        pkg->flat_router = std::make_unique<const FlatRouter>(*pkg->flat);
-        pkg->flat_stats = pkg->flat->compile_stats();
-      }
+      if (options.use_flat) compile_flat_view(*pkg);
       break;
     }
     case SchemeKind::kCowen: {

@@ -190,6 +190,13 @@ struct SchemePackage {
 
 using SchemePackagePtr = std::shared_ptr<const SchemePackage>;
 
+/// Compiles \p pkg.tz into the flat serving view (flat, flat_router,
+/// flat_stats) under \p pkg.options. The one place the flat compile's
+/// options (lookup layout, hash seed, compile pool) are chosen: fresh
+/// builds and artifact recovery both call it, so a recovered generation's
+/// pools are the pools a fresh build compiles from the same TZ scheme.
+void compile_flat_view(SchemePackage& pkg);
+
 /// Preprocesses \p graph under \p options into a fresh package.
 /// Deterministic: (graph, options) fixes every byte of the result, so a
 /// hot-swapped generation is indistinguishable from a fresh service's.

@@ -9,11 +9,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 
 #include "baseline/cowen.hpp"
 #include "baseline/full_table.hpp"
+#include "core/scheme_io.hpp"
 #include "core/tz_router.hpp"
 #include "core/tz_scheme.hpp"
 #include "graph/connectivity.hpp"
@@ -256,6 +259,76 @@ TEST(Fuzz, ArtifactMutationCorpusNeverCrashesOrMisroutes) {
     }
   }
   EXPECT_GT(rejected, 300);  // the corpus overwhelmingly mutates for real
+}
+
+TEST(Fuzz, SchemeBytesMutationCorpusLoadsOrThrowsInvalidArgument) {
+  // The same hostile-bytes contract for load_scheme. `--warm` files carry
+  // no checksum, so the decoder alone stands between a corrupt file and
+  // the process: every mutant must either load or throw a clean
+  // std::invalid_argument. Any other exception type fails here, and a
+  // crash or an out-of-bounds read fails the sanitizer job. Besides the
+  // artifact corpus's flips, truncations, duplicated slices and zeroed
+  // ranges, this corpus writes hostile values over 8-byte windows, which
+  // lands on the stream's element counts.
+  Rng graph_rng(4321);
+  const Graph g =
+      largest_component(erdos_renyi_gnm(130, 520, graph_rng)).graph;
+  TZSchemeOptions sopt;
+  sopt.pre.k = 3;
+  sopt.hash_index = true;  // loading rebuilds the index from mutated keys
+  Rng scheme_rng(77);
+  const std::string bytes = save_scheme(TZScheme(g, sopt, scheme_rng));
+  const std::uint64_t hostile[] = {
+      std::uint64_t{1} << 24, std::uint64_t{1} << 32, std::uint64_t{1} << 40,
+      std::uint64_t{1} << 62, ~std::uint64_t{0}};
+
+  Rng rng(0x5c4e3e);
+  int rejected = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    std::string mut = bytes;
+    switch (rng.next_below(5)) {
+      case 0: {  // flip 1–8 random bits
+        const std::uint64_t flips = 1 + rng.next_below(8);
+        for (std::uint64_t i = 0; i < flips; ++i) {
+          const std::size_t at = rng.next_below(mut.size());
+          mut[at] = static_cast<char>(mut[at] ^ (1u << rng.next_below(8)));
+        }
+        break;
+      }
+      case 1:  // truncate anywhere
+        mut.resize(rng.next_below(mut.size()));
+        break;
+      case 2: {  // duplicate a random slice in place (shifts the tail)
+        const std::size_t at = rng.next_below(mut.size());
+        const std::size_t len =
+            1 + rng.next_below(std::min<std::size_t>(4096, mut.size() - at));
+        mut.insert(at, mut.substr(at, len));
+        break;
+      }
+      case 3: {  // zero a random range
+        const std::size_t at = rng.next_below(mut.size());
+        const std::size_t len =
+            1 + rng.next_below(std::min<std::size_t>(512, mut.size() - at));
+        for (std::size_t i = 0; i < len; ++i) mut[at + i] = '\0';
+        break;
+      }
+      default: {  // a hostile count over any 8-byte window
+        const std::size_t at = rng.next_below(mut.size() - 8);
+        const std::uint64_t v = hostile[rng.next_below(std::size(hostile))];
+        std::memcpy(mut.data() + at, &v, 8);
+        break;
+      }
+    }
+    try {
+      (void)load_scheme(mut, g);
+    } catch (const std::invalid_argument&) {
+      ++rejected;  // the defined failure mode
+    } catch (const std::exception& e) {
+      FAIL() << "iter " << iter << ": escaped as a non-invalid_argument "
+             << "exception: " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 400);  // the corpus overwhelmingly breaks the format
 }
 
 }  // namespace

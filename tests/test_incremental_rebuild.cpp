@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,12 +26,6 @@
 
 namespace croute {
 namespace {
-
-std::string scheme_bytes(const TZScheme& s) {
-  std::ostringstream os;
-  save_scheme(os, s);
-  return os.str();
-}
 
 struct DeltaCase {
   const char* name;
@@ -177,7 +170,7 @@ TEST_P(IncrementalEquivalence, ByteIdenticalAcrossDeltaKinds) {
 
     EXPECT_TRUE(stats.used);
     EXPECT_EQ(stats.clusters_total, g1.num_vertices());
-    EXPECT_EQ(scheme_bytes(fresh), scheme_bytes(incremental))
+    EXPECT_EQ(save_scheme(fresh), save_scheme(incremental))
         << "incremental rebuild diverged from the from-scratch build";
     if (c.empty) {
       EXPECT_EQ(stats.clusters_reused, stats.clusters_total)
@@ -216,7 +209,7 @@ TEST(IncrementalRebuild, BernoulliSamplingIsByteIdenticalAndReusesMore) {
   IncrementalRebuildStats stats;
   const TZScheme incremental =
       rebuild_tz_incremental(previous, g1, delta, opt, ri, &stats);
-  EXPECT_EQ(scheme_bytes(fresh), scheme_bytes(incremental));
+  EXPECT_EQ(save_scheme(fresh), save_scheme(incremental));
   // The stable hierarchy must leave a substantial share of trees intact.
   EXPECT_GT(stats.clusters_reused, stats.clusters_total / 4);
 }
@@ -259,7 +252,7 @@ TEST(IncrementalRebuild, ChainedDeltasStayByteIdentical) {
         rebuild_tz_incremental(current, next, delta, opt, ri, &stats);
     Rng rf(404);
     const TZScheme fresh(next, opt, rf);
-    ASSERT_EQ(scheme_bytes(fresh), scheme_bytes(incremental));
+    ASSERT_EQ(save_scheme(fresh), save_scheme(incremental));
     current = std::move(incremental);
     current_graph = &next;
   }
@@ -285,7 +278,7 @@ TEST(IncrementalPackage, MatchesFullBuildAndRecordsStats) {
 
   ASSERT_TRUE(incremental->incr_stats.used);
   EXPECT_GT(incremental->incr_stats.clusters_total, 0u);
-  EXPECT_EQ(scheme_bytes(*full->tz), scheme_bytes(*incremental->tz));
+  EXPECT_EQ(save_scheme(*full->tz), save_scheme(*incremental->tz));
 }
 
 TEST(IncrementalPackage, FallsBackWithRecordedReason) {

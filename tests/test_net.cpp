@@ -12,7 +12,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -583,6 +586,52 @@ TEST(NetServe, BadFramesGetErrorsAndGoodQueriesStillServe) {
     oob[0] = {0, n, {}, 0};
     EXPECT_THROW(client.query(oob, false), std::runtime_error);
     EXPECT_EQ(client.query(good, false).size(), 1u);
+  });
+}
+
+TEST(NetServe, OversizedLabelRequestGetsErrorAndConnectionSurvives) {
+  // 20 000 labels cannot fit one LABEL_RESP. The server must refuse that
+  // request alone — an ERROR frame naming the limit — and keep serving
+  // the connection, instead of throwing out of its event loop.
+  NetFixture fx;
+  const VertexId n = fx.g.num_vertices();
+  RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
+  std::vector<VertexId> many(20000);
+  for (std::size_t i = 0; i < many.size(); ++i) {
+    many[i] = static_cast<VertexId>(i % n);
+  }
+  with_server(service, {}, [&](net::NetClient& client, net::NetServer&) {
+    client.send_label_req(many);
+    net::Reply reply;
+    ASSERT_TRUE(client.read_reply(reply));
+    ASSERT_EQ(reply.type, static_cast<std::uint8_t>(FrameType::kError));
+    EXPECT_EQ(reply.error_code, net::kErrMalformed);
+    EXPECT_NE(reply.error_message.find("65535"), std::string::npos)
+        << reply.error_message;
+
+    std::vector<WireQuery> good(1);
+    good[0] = {0, static_cast<VertexId>(n - 1), {}, 0};
+    EXPECT_EQ(client.query(good, false).size(), 1u);
+
+    // fetch_labels splits the same request and returns, in order, the
+    // labels small fetches return.
+    const std::vector<net::OwnedLabel> big = client.fetch_labels(many);
+    ASSERT_EQ(big.size(), many.size());
+    std::vector<VertexId> all(n);
+    for (VertexId v = 0; v < n; ++v) all[v] = v;
+    std::vector<net::OwnedLabel> small;
+    for (VertexId v = 0; v < n; v += 20) {
+      const std::span<const VertexId> part(all.data() + v,
+                                           std::min<VertexId>(20, n - v));
+      for (net::OwnedLabel& l : client.fetch_labels(part)) {
+        small.push_back(std::move(l));
+      }
+    }
+    ASSERT_EQ(small.size(), n);
+    for (std::size_t i = 0; i < many.size(); ++i) {
+      ASSERT_EQ(big[i].bits, small[many[i]].bits) << i;
+      ASSERT_EQ(big[i].bytes, small[many[i]].bytes) << i;
+    }
   });
 }
 

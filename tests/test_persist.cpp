@@ -22,6 +22,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/scheme_io.hpp"
@@ -183,6 +184,39 @@ TEST(ArtifactRoundtrip, FKSLookupRoundtrips) {
   ASSERT_NE(rt, nullptr);
   EXPECT_TRUE(persist::encode_package(*rt, 2) == bytes);
 }
+
+// The flat TZ pools are not stored: decode compiles them from the decoded
+// TZ section. They must be exactly the pools a fresh build compiles —
+// same size, same answers — for both schemes and both lookup layouts.
+class RecoveredFlatPools
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, FlatLookup>> {};
+
+TEST_P(RecoveredFlatPools, EqualAFreshCompile) {
+  const Graph g = test_graph(25, 250);
+  RouteServiceOptions opt = base_options(std::get<0>(GetParam()));
+  opt.flat_lookup = std::get<1>(GetParam());
+  const SchemePackagePtr pkg = build(g, opt);
+  const SchemePackagePtr rt =
+      persist::decode_package(persist::encode_package(*pkg, 1), opt);
+  ASSERT_NE(rt->flat, nullptr);
+  EXPECT_EQ(rt->flat->lookup_kind(), opt.flat_lookup);
+  EXPECT_EQ(rt->flat->pool_bytes(), pkg->flat->pool_bytes());
+  EXPECT_EQ(rt->flat_stats.pool_bytes, pkg->flat_stats.pool_bytes);
+
+  RouteService fresh(g, opt);
+  RouteService recovered(g, opt);
+  recovered.publish(rt);
+  const std::vector<RouteQuery> queries = probe_queries(g, 2000);
+  expect_same_answers(recovered.route_collect(queries),
+                      fresh.route_collect(queries), "recovered vs fresh");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TZKindsAndLookups, RecoveredFlatPools,
+    ::testing::Combine(::testing::Values(SchemeKind::kTZDirect,
+                                         SchemeKind::kTZHandshake),
+                       ::testing::Values(FlatLookup::kEytzinger,
+                                         FlatLookup::kFKS)));
 
 // --- corruption matrix ---------------------------------------------------
 
@@ -428,6 +462,29 @@ TEST(ArtifactStore, VertexCountMismatchIsRejectedWithReason) {
   EXPECT_EQ(rec.package, nullptr);
   ASSERT_EQ(rec.rejected.size(), 1u);
   EXPECT_NE(rec.rejected[0].find("built for n="), std::string::npos)
+      << rec.rejected[0];
+}
+
+TEST(ArtifactStore, FormatOneArtifactIsRejectedAsVersionSkew) {
+  // Format 1 also stored the flat TZ pools. A store holding one must
+  // reject it at the header with the reason recorded, so the service
+  // falls back to a fresh build.
+  const std::string dir = scratch_dir("store_format1");
+  const Graph g = test_graph(26, 150);
+  const RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
+  persist::ArtifactStore store({dir, 2});
+  const persist::PublishResult pub = store.publish_generation(*build(g, opt));
+  ASSERT_TRUE(pub.ok) << pub.error;
+  {  // the format version follows the 8-byte magic
+    std::fstream f(pub.path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.put('\x01');
+  }
+  const persist::RecoverResult rec =
+      store.recover_newest(opt, g.num_vertices());
+  EXPECT_EQ(rec.package, nullptr);
+  ASSERT_EQ(rec.rejected.size(), 1u);
+  EXPECT_NE(rec.rejected[0].find("format version 1"), std::string::npos)
       << rec.rejected[0];
 }
 

@@ -6,7 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstring>
+#include <string>
 
 #include "core/tz_router.hpp"
 #include "graph/connectivity.hpp"
@@ -34,9 +35,7 @@ TEST(SchemeIo, RoundTripPreservesEveryHeaderAndTable) {
       largest_component(erdos_renyi_gnm(150, 600, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 3, 7);
 
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(save_scheme(original), g);
 
   ASSERT_EQ(loaded.k(), original.k());
   const TZRouter r1(original), r2(loaded);
@@ -63,9 +62,7 @@ TEST(SchemeIo, LoadedSchemeRoutesIdentically) {
   Rng rng(2);
   const Graph g = make_workload(GraphFamily::kBarabasiAlbert, 400, rng);
   const TZScheme original = make_scheme(g, 2, 9);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(save_scheme(original), g);
   const Simulator sim(g);
   const auto pairs = sample_pairs(g, 400, rng);
   for (const auto& p : pairs) {
@@ -82,9 +79,7 @@ TEST(SchemeIo, HashIndexRebuiltOnLoad) {
   const Graph g =
       largest_component(erdos_renyi_gnm(80, 320, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 3, 11, /*hash_index=*/true);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(save_scheme(original), g);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_TRUE(loaded.table(v).has_hash_index());
     for (const TableEntry& e : original.table(v).entries()) {
@@ -99,9 +94,7 @@ TEST(SchemeIo, CarriedDistancesSurvive) {
       largest_component(erdos_renyi_gnm(60, 240, graph_rng)).graph;
   const TZScheme original =
       make_scheme(g, 3, 13, false, /*carry=*/true);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const TZScheme loaded = load_scheme(save_scheme(original), g);
   for (VertexId t = 0; t < g.num_vertices(); ++t) {
     const auto& a = original.label(t).entries;
     const auto& b = loaded.label(t).entries;
@@ -123,9 +116,8 @@ TEST(SchemeIo, WrongGraphRejected) {
   const Graph other =
       largest_component(erdos_renyi_gnm(70, 280, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 2, 15);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  EXPECT_THROW(load_scheme(ss, other), std::invalid_argument);
+  EXPECT_THROW(load_scheme(save_scheme(original), other),
+               std::invalid_argument);
 }
 
 TEST(SchemeIo, ReweightedGraphRejected) {
@@ -134,9 +126,7 @@ TEST(SchemeIo, ReweightedGraphRejected) {
   b2.add_edge(0, 1, 1.0).add_edge(1, 2, 2.0);
   const Graph g1 = b1.build(), g2 = b2.build();
   const TZScheme original = make_scheme(g1, 2, 17);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  EXPECT_THROW(load_scheme(ss, g2), std::invalid_argument);
+  EXPECT_THROW(load_scheme(save_scheme(original), g2), std::invalid_argument);
 }
 
 TEST(SchemeIo, TruncatedStreamRejected) {
@@ -144,13 +134,10 @@ TEST(SchemeIo, TruncatedStreamRejected) {
   const Graph g =
       largest_component(erdos_renyi_gnm(50, 200, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 2, 19);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const std::string full = ss.str();
+  const std::string full = save_scheme(original);
   for (const double frac : {0.1, 0.5, 0.9, 0.999}) {
-    std::stringstream cut(
-        full.substr(0, static_cast<std::size_t>(
-                           static_cast<double>(full.size()) * frac)));
+    const std::string cut = full.substr(
+        0, static_cast<std::size_t>(static_cast<double>(full.size()) * frac));
     EXPECT_THROW(load_scheme(cut, g), std::invalid_argument)
         << "fraction " << frac;
   }
@@ -158,8 +145,82 @@ TEST(SchemeIo, TruncatedStreamRejected) {
 
 TEST(SchemeIo, GarbageRejected) {
   const Graph g = path_graph(4);
-  std::stringstream ss("this is not a scheme");
-  EXPECT_THROW(load_scheme(ss, g), std::invalid_argument);
+  EXPECT_THROW(load_scheme("this is not a scheme", g), std::invalid_argument);
+}
+
+/// Byte offsets of two element counts in save_scheme output, derived
+/// from the layout in core/scheme_io.cpp: the first vertex table's entry
+/// count, and the first routing label's entry count.
+struct CountOffsets {
+  std::size_t first_table = 0;
+  std::size_t first_label = 0;
+};
+
+CountOffsets count_offsets(const TZScheme& s, std::size_t total_bytes) {
+  const std::size_t n = s.graph().num_vertices();
+  const LandmarkHierarchy& h = s.preprocessing().hierarchy();
+  std::size_t off = 8 + 4 + 8;      // magic, version, fingerprint
+  off += 4 + 1 + 8 + 4 + 1 + 1;     // options
+  off += 8 + 4 * n;                 // rank
+  off += 4;                         // hierarchy height
+  for (const auto& level : h.levels) off += 8 + 4 * level.size();
+  off += 8 + 4 * n;                 // level_of
+  off += 8;                         // pivot level count
+  off += h.k * ((8 + 8 * n) + 3 * (8 + 4 * n));  // dist, owner, parent, port
+  off += 4 + 4;                     // tree codec
+  off += 8;                         // table count
+  CountOffsets c;
+  c.first_table = off;
+  // Labels close the stream: walk back over all of them.
+  std::size_t labels = 0;
+  for (VertexId t = 0; t < n; ++t) {
+    labels += 4 + 8;  // target, entry count
+    for (const LabelEntry& e : s.label(t).entries) {
+      labels += 4 + 4 + 8 + 4 + 8 + 4 * e.tree.light_ports.size();
+    }
+  }
+  c.first_label = total_bytes - labels + 4;
+  return c;
+}
+
+std::uint64_t read_u64(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, 8);
+  return v;
+}
+
+TEST(SchemeIo, HostileCountsThrowInvalidArgumentBeforeAllocating) {
+  // A count is checked against the bytes left before anything is sized
+  // from it: 2^24 table entries would otherwise allocate ~900 MiB, and
+  // 2^40 would escape as std::bad_alloc.
+  Rng graph_rng(8);
+  const Graph g =
+      largest_component(erdos_renyi_gnm(120, 480, graph_rng)).graph;
+  const TZScheme original = make_scheme(g, 3, 23);
+  const std::string bytes = save_scheme(original);
+  const CountOffsets at = count_offsets(original, bytes.size());
+  ASSERT_EQ(read_u64(bytes, at.first_table), original.table(0).size());
+  ASSERT_EQ(read_u64(bytes, at.first_label),
+            original.label(0).entries.size());
+  for (const std::size_t offset : {at.first_table, at.first_label}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{65}, std::uint64_t{1} << 24, std::uint64_t{1} << 40,
+          ~std::uint64_t{0}}) {
+      if (offset == at.first_table && count == 65) continue;  // plausible
+      std::string mut = bytes;
+      std::memcpy(mut.data() + offset, &count, 8);
+      EXPECT_THROW(load_scheme(mut, g), std::invalid_argument)
+          << "count " << count << " at byte " << offset;
+    }
+  }
+}
+
+TEST(SchemeIo, TrailingBytesRejected) {
+  Rng graph_rng(9);
+  const Graph g =
+      largest_component(erdos_renyi_gnm(40, 160, graph_rng)).graph;
+  const std::string bytes = save_scheme(make_scheme(g, 2, 25)) + "x";
+  EXPECT_THROW(load_scheme(bytes, g), std::invalid_argument);
 }
 
 TEST(SchemeIo, FileRoundTrip) {
