@@ -5,12 +5,10 @@
 /// embarrassingly parallel — the service scales near-linearly with worker
 /// threads while producing byte-identical answers at every thread count
 /// (the dynamic shard schedule affects only *when* a query runs, never its
-/// result). We serve the same traffic through BOTH serving paths (the
-/// legacy sim/-adapter path and the default flat compiled view) at 1, 2,
-/// 4, ... threads each, report throughput, latency percentiles and
-/// stretch, and cross-check every run's answers against the legacy
-/// single-threaded reference — the flat path must be faster AND
-/// answer-identical.
+/// result). We serve the same traffic at 1, 2, 4, ... threads, report
+/// throughput, latency percentiles and stretch, and cross-check every
+/// run's answers against the first run's. (Byte-identity to the paper's
+/// reference walk is the tests' job: tests/test_simd.cpp.)
 ///
 /// Churn mode (--churn=C, default 3; 0 disables): after the static runs,
 /// the same traffic is replayed per thread count while a SchemeManager
@@ -32,8 +30,8 @@
 /// the old full-re-metric regime).
 ///
 /// Flags: --n --family --scheme --workload --queries --batch --k --seed
-///        --threads (comma list) --json out.json --flat-only
-///        --batch-group=G (flat pipeline depth; 0 = scalar serving)
+///        --threads (comma list) --json out.json
+///        --batch-group=G (pipeline depth, a power of two)
 ///        --churn=C --churn-seed=S
 ///        --churn-reweight=F --churn-remove=F --churn-add=F
 ///        --sampling=centered|bernoulli (landmark sampler; bernoulli's
@@ -46,8 +44,7 @@
 /// the JSON), with the recovered service checked answer-identical.
 ///
 /// Note: the speedup column reflects the machine's core count; on a
-/// single-core container every thread count serves at the same rate, but
-/// the flat-vs-legacy ratio is visible at any core count.
+/// single-core container every thread count serves at the same rate.
 
 #include <cstdio>
 #include <cstdlib>
@@ -120,9 +117,8 @@ int main(int argc, char** argv) try {
   // (helper default 64); exact distances attach because setup.exact.
   std::vector<RouteQuery> traffic = setup.build_traffic(g);
 
-  std::printf("%8s %8s %12s %9s %10s %10s %10s %8s %6s\n", "path", "threads",
-              "qps", "speedup", "p50_us", "p95_us", "p99_us", "stretch",
-              "ok");
+  std::printf("%8s %12s %9s %10s %10s %10s %8s %6s\n", "threads", "qps",
+              "speedup", "p50_us", "p95_us", "p99_us", "stretch", "ok");
   bench::JsonReport report;
   report.set("experiment", std::string("s1_throughput"))
       .set("family", family)
@@ -135,117 +131,94 @@ int main(int argc, char** argv) try {
       .set("sampling", std::string(sampling_name(sampling)));
   bench::add_host_metadata(report);
 
-  const bool flat_only = flags.get_bool("flat-only", false);
-  std::vector<bool> flat_modes;
-  if (!flat_only) flat_modes.push_back(false);
-  flat_modes.push_back(true);
-
-  double qps_base = 0;           // legacy (or first) run at 1 thread
-  double legacy_qps_1t = 0, flat_qps_1t = 0;
+  double qps_base = 0;  // first run
   // Identity is checked over status/length/hops/header_bits/stretch —
-  // paths are off here (recording them would tax the timed runs);
-  // path-level flat-vs-legacy equivalence is test_flat_scheme's job.
-  // The reference service stays alive anyway so reference answers could
+  // paths are off here (recording them would tax the timed runs). The
+  // reference service stays alive anyway so reference answers could
   // never dangle if paths were ever enabled.
   std::vector<RouteAnswer> reference;
   std::unique_ptr<RouteService> reference_service;
   bool all_identical = true;
-  for (const bool use_flat : flat_modes) {
-    for (const unsigned t : thread_counts) {
-      RouteServiceOptions opt = setup.service;
-      opt.threads = t;
-      opt.use_flat = use_flat;
-      bench::Stopwatch preprocess_watch;
-      auto service = std::make_unique<RouteService>(g, opt);
-      const double preprocess_s = preprocess_watch.seconds();
+  for (const unsigned t : thread_counts) {
+    RouteServiceOptions opt = setup.service;
+    opt.threads = t;
+    bench::Stopwatch preprocess_watch;
+    auto service = std::make_unique<RouteService>(g, opt);
+    const double preprocess_s = preprocess_watch.seconds();
 
-      // Warm one batch (first-touch, pool spin-up), then measure.
-      const std::vector<RouteQuery> warm(
-          traffic.begin(),
-          traffic.begin() + std::min<std::size_t>(traffic.size(), batch));
-      service->route_collect(warm);
+    // Warm one batch (first-touch, pool spin-up), then measure.
+    const std::vector<RouteQuery> warm(
+        traffic.begin(),
+        traffic.begin() + std::min<std::size_t>(traffic.size(), batch));
+    service->route_collect(warm);
 
-      DriverOptions dopt;
-      dopt.batch_size = batch;
-      // Interval metrics over exactly the measured loop (metrics are on
-      // by default — the qps rows price the observability layer): the
-      // delta of two registry snapshots isolates this run's samples.
-      const obs::MetricsSnapshot snap_before =
-          obs::snapshot_metrics(*service->metrics_registry());
-      const DriverReport r = run_closed_loop(*service, traffic, dopt);
-      const obs::MetricsSnapshot snap_delta = obs::metrics_delta(
-          obs::snapshot_metrics(*service->metrics_registry()), snap_before);
-      const auto* hist = snap_delta.find_histogram("croute_query_latency_us");
+    DriverOptions dopt;
+    dopt.batch_size = batch;
+    // Interval metrics over exactly the measured loop (metrics are on
+    // by default — the qps rows price the observability layer): the
+    // delta of two registry snapshots isolates this run's samples.
+    const obs::MetricsSnapshot snap_before =
+        obs::snapshot_metrics(*service->metrics_registry());
+    const DriverReport r = run_closed_loop(*service, traffic, dopt);
+    const obs::MetricsSnapshot snap_delta = obs::metrics_delta(
+        obs::snapshot_metrics(*service->metrics_registry()), snap_before);
+    const auto* hist = snap_delta.find_histogram("croute_query_latency_us");
 
-      // Invariance: every run (either path, any thread count) serves the
-      // same answers as the first run.
-      std::vector<RouteAnswer> answers = service->route_collect(traffic);
-      bool identical = true;
-      if (reference.empty()) {
-        reference = std::move(answers);
-        reference_service = std::move(service);
-      } else {
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          if (!same_route(reference[i], answers[i])) {
-            identical = false;
-            break;
-          }
+    // Invariance: every thread count serves the same answers as the
+    // first run.
+    std::vector<RouteAnswer> answers = service->route_collect(traffic);
+    bool identical = true;
+    if (reference.empty()) {
+      reference = std::move(answers);
+      reference_service = std::move(service);
+    } else {
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        if (!same_route(reference[i], answers[i])) {
+          identical = false;
+          break;
         }
       }
-      all_identical = all_identical && identical;
-
-      if (qps_base == 0) qps_base = r.qps;
-      if (t == thread_counts.front()) {
-        (use_flat ? flat_qps_1t : legacy_qps_1t) = r.qps;
-      }
-      const double speedup = qps_base > 0 ? r.qps / qps_base : 0;
-      const char* path_name = use_flat ? "flat" : "legacy";
-      std::printf("%8s %8u %12.0f %8.2fx %10.2f %10.2f %10.2f %8.3f %6s\n",
-                  path_name, t, r.qps, speedup, r.latency_p50_us,
-                  r.latency_p95_us, r.latency_p99_us, r.stretch.mean,
-                  identical ? "yes" : "NO");
-
-      // Latency semantics differ by serving mode: scalar rows measure each
-      // query's own wall time, batched rows its amortized share of the
-      // pipeline generation — marked so trajectory readers don't compare
-      // the two as one metric.
-      const char* latency_metric = use_flat && batch_group > 0
-                                       ? "group_amortized"
-                                       : "per_query";
-      report.add_row("runs")
-          .set("path", std::string(path_name))
-          .set("threads", std::uint64_t{t})
-          .set("qps", r.qps)
-          .set("speedup", speedup)
-          .set("latency_metric", std::string(latency_metric))
-          .set("p50_us", r.latency_p50_us)
-          .set("p95_us", r.latency_p95_us)
-          .set("p99_us", r.latency_p99_us)
-          // The histogram-derived percentiles (log buckets, <= 1.25x
-          // relative error) next to the exact sorted-sample ones above —
-          // what a scraper would report vs what the driver measured.
-          .set("hist_p50_us", hist != nullptr ? hist->hist.percentile(50) : 0)
-          .set("hist_p95_us", hist != nullptr ? hist->hist.percentile(95) : 0)
-          .set("hist_p99_us", hist != nullptr ? hist->hist.percentile(99) : 0)
-          .set("queue_wait_p99_us", r.queue_wait_p99_us)
-          .set("mean_stretch", r.stretch.mean)
-          .set("max_stretch", r.stretch.max)
-          .set("mean_hops", r.mean_hops)
-          .set("preprocess_s", preprocess_s)
-          .set("delivered", r.delivered)
-          .set("identical", std::string(identical ? "yes" : "no"));
     }
+    all_identical = all_identical && identical;
+
+    if (qps_base == 0) qps_base = r.qps;
+    const double speedup = qps_base > 0 ? r.qps / qps_base : 0;
+    std::printf("%8u %12.0f %8.2fx %10.2f %10.2f %10.2f %8.3f %6s\n", t,
+                r.qps, speedup, r.latency_p50_us, r.latency_p95_us,
+                r.latency_p99_us, r.stretch.mean, identical ? "yes" : "NO");
+
+    // Latencies are each query's amortized share of its pipeline
+    // generation — marked so trajectory readers don't compare them with
+    // per-query wall times. "path" stays for the regression gate, which
+    // matches rows by it.
+    report.add_row("runs")
+        .set("path", std::string("flat"))
+        .set("threads", std::uint64_t{t})
+        .set("qps", r.qps)
+        .set("speedup", speedup)
+        .set("latency_metric", std::string("group_amortized"))
+        .set("p50_us", r.latency_p50_us)
+        .set("p95_us", r.latency_p95_us)
+        .set("p99_us", r.latency_p99_us)
+        // The histogram-derived percentiles (log buckets, <= 1.25x
+        // relative error) next to the exact sorted-sample ones above —
+        // what a scraper would report vs what the driver measured.
+        .set("hist_p50_us", hist != nullptr ? hist->hist.percentile(50) : 0)
+        .set("hist_p95_us", hist != nullptr ? hist->hist.percentile(95) : 0)
+        .set("hist_p99_us", hist != nullptr ? hist->hist.percentile(99) : 0)
+        .set("queue_wait_p99_us", r.queue_wait_p99_us)
+        .set("mean_stretch", r.stretch.mean)
+        .set("max_stretch", r.stretch.max)
+        .set("mean_hops", r.mean_hops)
+        .set("preprocess_s", preprocess_s)
+        .set("delivered", r.delivered)
+        .set("identical", std::string(identical ? "yes" : "no"));
   }
 
-  std::printf("answers identical across paths and thread counts: %s\n",
+  std::printf("answers identical across thread counts: %s\n",
               all_identical ? "yes" : "NO");
   report.set("identical_across_runs",
              std::string(all_identical ? "yes" : "no"));
-  if (legacy_qps_1t > 0 && flat_qps_1t > 0) {
-    std::printf("flat vs legacy at %u thread(s): %.2fx\n",
-                thread_counts.front(), flat_qps_1t / legacy_qps_1t);
-    report.set("flat_vs_legacy_1t", flat_qps_1t / legacy_qps_1t);
-  }
 
   // --- churn mode: qps under background rebuild + hot swap ---------------
   const auto churn_cycles =
@@ -268,7 +241,7 @@ int main(int argc, char** argv) try {
     report.set("churn_remove_fraction", delta.remove_fraction);
     report.set("churn_add_fraction", delta.add_fraction);
     std::printf("\nchurn mode: %u background rebuild+swap cycles per run "
-                "(flat path), incremental vs full rebuild\n",
+                "(incremental vs full rebuild)\n",
                 churn_cycles);
     std::printf("%8s %12s %12s %10s %8s %12s %12s %8s %8s\n", "threads",
                 "rebuild", "qps", "p99_us", "swaps", "blackout_us",
@@ -320,9 +293,7 @@ int main(int argc, char** argv) try {
             .set("threads", std::uint64_t{t})
             .set("rebuild", std::string(rebuild_name))
             .set("qps", r.driver.qps)
-            .set("latency_metric", std::string(batch_group > 0
-                                                   ? "group_amortized"
-                                                   : "per_query"))
+            .set("latency_metric", std::string("group_amortized"))
             .set("p50_us", r.driver.latency_p50_us)
             .set("p95_us", r.driver.latency_p95_us)
             .set("p99_us", r.driver.latency_p99_us)

@@ -9,7 +9,8 @@ smaller instance can only make the fresh numbers FASTER, so a >2x
 slowdown is a real regression, not noise).
 
 Gated:
-  - micro: every flat serving variant's ns/decision (scalar + batched);
+  - micro: the flat serving path's ns/decision and ns/route (scalar +
+    batched);
   - S1 serving: qps of every flat run row (matched by threads);
   - S1 churn: per-cycle rebuild seconds — each fresh churn row gates
     against the committed FULL-rebuild row at the same thread count, so
@@ -30,15 +31,12 @@ Usage:
 import json
 import sys
 
-# Every flat serving variant the micro trajectory tracks: scalar
-# decisions in both lookup layouts, and the route-level scalar vs
-# batch-pipelined numbers the batched engine is judged by.
+# The flat serving path the micro trajectory tracks: the scalar
+# decision, and the route-level scalar vs batch-pipelined numbers the
+# batched engine is judged by.
 GATED_MICRO_KEYS = [
-    "flat_decision_ns",
     "flat_eytzinger_decision_ns",
-    "flat_route_ns",
     "flat_eytzinger_route_ns",
-    "flat_batched_route_ns",
     "flat_batched_eytzinger_route_ns",
 ]
 

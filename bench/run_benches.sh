@@ -19,14 +19,17 @@ if [[ ! -x "$build_dir/bench_micro_decision" ]]; then
   exit 1
 fi
 
-# micro: per-decision cost, legacy vs flat, n=10k k=3 (the acceptance
-# configuration — flat_speedup is the headline scalar).
+# micro: per-decision cost, reference TZRouter structures vs the flat
+# layout, n=10k k=3 (the acceptance configuration —
+# flat_speedup_eytzinger is the headline scalar), plus the batched route
+# rows and the G x ISA sweep.
 "$build_dir/bench_micro_decision" \
     --json "$repo_root/BENCH_micro.json" ${MICRO_ARGS:-}
 
-# S1: serving throughput, legacy vs flat at several thread counts, plus
-# the churn mode — 3 background rebuild+swap cycles per thread count with
-# qps-under-swap and swap-blackout telemetry (the hot-swap trajectory).
+# S1: serving throughput at several thread counts, plus the churn mode —
+# 3 background rebuild+swap cycles per thread count with qps-under-swap
+# and swap-blackout telemetry (the hot-swap trajectory) — and one artifact
+# publish + recover cycle (the persist_* keys).
 "$build_dir/bench_s1_throughput" \
     --n 10000 --queries 50000 --threads 1,2,4 --churn 3 \
     --json "$repo_root/BENCH_s1.json" ${S1_ARGS:-}

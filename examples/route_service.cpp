@@ -17,9 +17,9 @@
 ///
 /// Shared flags (parsed by service/cli.hpp, used by every serving
 /// binary): --graph | --family --n [--weighted]  --scheme --k --sampling
-/// --seed --threads --lookup --batch-group [--legacy] --warm
-/// --artifact-dir --artifact-retain --rebuild-retries [--no-metrics]
-/// --workload --queries --batch --source-pool [--exact]
+/// --seed --threads --batch-group --warm --artifact-dir --artifact-retain
+/// --rebuild-retries [--no-metrics] --workload --queries --batch
+/// --source-pool [--exact]
 ///
 /// Binary-specific flags:
 /// --churn=C (run the closed loop under C background rebuild+swap
@@ -32,7 +32,7 @@
 /// --port=P (listen port; 0 = ephemeral, printed) --net-coalesce=N
 /// --net-max-pending=N --net-max-connections=N (front-end admission
 /// control; see net/server.hpp)
-/// env CROUTE_SIMD=generic|sse42|avx2|neon forces the SIMD batch kernels
+/// env CROUTE_SIMD=generic|avx2|neon forces the SIMD batch kernels
 
 #include <csignal>
 #include <cstdio>
@@ -102,14 +102,8 @@ int main(int argc, char** argv) {
     std::printf("graph: n=%u m=%llu\n", g.num_vertices(),
                 static_cast<unsigned long long>(g.num_edges()));
     RouteService service(g, opt);
-    std::printf("service: scheme=%s threads=%u path=%s batch-group=%u "
-                "simd=%s%s\n",
-                scheme_name(opt.scheme), service.threads(),
-                opt.use_flat
-                    ? (std::string("flat/") + flat_lookup_name(opt.flat_lookup))
-                          .c_str()
-                    : "legacy",
-                opt.use_flat ? opt.batch_group : 0,
+    std::printf("service: scheme=%s threads=%u batch-group=%u simd=%s%s\n",
+                scheme_name(opt.scheme), service.threads(), opt.batch_group,
                 simd::ops().name,
                 opt.warm_start_path.empty()
                     ? ""
@@ -232,7 +226,7 @@ int main(int argc, char** argv) {
     std::printf("hops:    mean %.2f, max header %llu bits\n", r.mean_hops,
                 static_cast<unsigned long long>(r.max_header_bits));
 
-    const ServiceTelemetry tel = service.telemetry();
+    const ServiceTelemetry tel = service.snapshot();
     std::printf("telemetry: %llu queries over %llu batches, busy %.3fs "
                 "across %u workers\n",
                 static_cast<unsigned long long>(tel.queries),

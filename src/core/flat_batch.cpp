@@ -127,7 +127,7 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
       }
       if (q.s == q.t) {
         // Self-query: the packet never leaves the source — delivered, 0
-        // hops, 0 header bits (same defined answer as the scalar path).
+        // hops, 0 header bits (same defined answer as route_one's walk).
         FlatBatchAnswer& a = answers[lane.qi];
         a.tree_root = kNoVertex;
         a.first_deliver = true;
@@ -231,7 +231,8 @@ CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
     }
     batch_.clear();
     for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      batch_.push(lanes_[live_[pos]].probe);
+      const FlatScheme::FindProbe& p = lanes_[live_[pos]].probe;
+      batch_.push_slice(p.off, p.len, p.w);
     }
     f->dir_find_stage2_batch(batch_);
     for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
@@ -270,7 +271,8 @@ CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
     }
     batch_.clear();
     for (std::uint32_t i = 0; i < scan_count_; ++i) {
-      batch_.push(lanes_[scan_[i]].probe);
+      const FlatScheme::FindProbe& p = lanes_[scan_[i]].probe;
+      batch_.push_slice(p.off, p.len, p.w);
     }
     f->find_stage2_batch(batch_);
     scan_next_count_ = 0;
@@ -345,7 +347,8 @@ CROUTE_HOT void FlatBatchEngine::prepare_tz_handshake(
     }
     batch_.clear();
     for (std::uint32_t i = 0; i < scan_count_; ++i) {
-      batch_.push(lanes_[scan_[i]].probe);
+      const FlatScheme::FindProbe& p = lanes_[scan_[i]].probe;
+      batch_.push_slice(p.off, p.len, p.w);
     }
     f->find_stage2_batch(batch_);
     scan_next_count_ = 0;
@@ -409,7 +412,8 @@ CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
     // the node records.
     batch_.clear();
     for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      batch_.push(lanes_[live_[pos]].probe);
+      const FlatScheme::FindProbe& p = lanes_[live_[pos]].probe;
+      batch_.push_slice(p.off, p.len, p.w);
     }
     f->find_stage2_batch(batch_);
     for (std::uint32_t pos = 0; pos < live_count_; ++pos) {

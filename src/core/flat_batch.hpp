@@ -21,14 +21,15 @@
 /// to G misses are in flight instead of one. Answers are byte-identical
 /// to the scalar FlatRouter/FlatCowen/FlatFullTable path — the stages
 /// reorder only *when* a line is fetched, never what is computed
-/// (tests/test_flat_scheme.cpp proves equality over every scheme kind,
-/// lookup layout and group size, ragged tails and self-queries included).
+/// (tests/test_flat_scheme.cpp checks the served answers against the
+/// sim/ reference walk over every scheme kind and group size, ragged
+/// tails and self-queries included).
 ///
 /// Stage map per hop of the Thorup–Zwick walk at vertex v:
 ///   kStepMeta    read CSR offsets (prefetched on arrival), prefetch the
-///                key slice's lines / the FKS slot;
-///   kStepProbe   branch-free descent or slot compare → pool index,
-///                prefetch the node record;
+///                key slice's lines;
+///   kStepProbe   branch-free descent → pool index, prefetch the node
+///                record;
 ///   kStepDecide  O(1) tree decision over the record, prefetch the arc;
 ///   kStepAdvance traverse the arc, prefetch the next vertex's offsets.
 /// Prepare (rule-0 directory probe + label pivot scan), the handshake's
@@ -39,9 +40,9 @@
 /// the live lanes' probes into SoA scratch arrays and resolves them in
 /// one lane-parallel kernel call — the Eytzinger compare-and-step runs
 /// across 8 lanes per AVX2 register (masked gathers keep retired lanes
-/// off memory), the FKS slot check gathers 4 slot keys at once, and the
-/// generic implementation is the exact scalar loop, so answers stay
-/// byte-identical on every ISA (tests/test_simd.cpp pins the matrix).
+/// off memory), and the generic implementation is the exact scalar loop,
+/// so answers stay byte-identical on every ISA (tests/test_simd.cpp pins
+/// the matrix).
 ///
 /// Scheduling is *lockstep*: queries run in generations of G lanes, and
 /// each pipeline stage is one tight loop over the live lanes (compact
@@ -55,8 +56,9 @@
 ///
 /// The engine is scalar state + scratch: one instance per worker thread,
 /// reused across batches (no allocation once warm). RouteService routes
-/// its destination-grouped chunks through per-worker engines; route_one
-/// and `batch_group = 0` keep the scalar path.
+/// every destination-grouped chunk through per-worker engines; only
+/// route_one keeps a scalar walk (it must stay allocation-free and
+/// callable from any thread, so it cannot borrow per-worker scratch).
 
 #pragma once
 
@@ -107,7 +109,7 @@ struct FlatBatchQuery {
 };
 
 /// One answer. The deterministic fields (status, length, hops,
-/// header_bits, path) are byte-identical to the scalar serving path;
+/// header_bits, path) are byte-identical to route_one's scalar walk;
 /// latency_us is the query's amortized share of its pipeline
 /// generation's wall time (G queries run interleaved — per-lane wall
 /// time would charge every lane for all G).

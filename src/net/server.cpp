@@ -276,10 +276,9 @@ void flush_writes(LoopCtx& ctx, NetServer::Conn& c) {
   }
 }
 
-/// True when this service build can serve label-addressed queries.
+/// True when this service's scheme can serve label-addressed queries.
 bool labels_supported(const RouteService& service) {
-  const RouteServiceOptions& o = service.options();
-  return o.use_flat && o.scheme == SchemeKind::kTZDirect;
+  return service.options().scheme == SchemeKind::kTZDirect;
 }
 
 /// Validates one wire label against the serving codec without touching
@@ -311,11 +310,15 @@ void serve_pending(LoopCtx& ctx) {
   struct NetSink final : RouteSink {
     LoopCtx& ctx;
     std::uint64_t dispatch_ns;
+    /// Frames already answered (ANSWER or ERROR) — the catch below bills
+    /// only the rest, so no req_id ever gets both.
+    std::size_t done = 0;
     explicit NetSink(LoopCtx& c, std::uint64_t d) : ctx(c), dispatch_ns(d) {}
     void on_answers(std::uint32_t first,
                     std::span<const RouteAnswer> answers) override {
       CROUTE_ASSERT(first == 0, "chunked delivery is not wired up");
-      for (const auto& pf : ctx.im.frames) {
+      for (; done < ctx.im.frames.size(); ++done) {
+        const auto& pf = ctx.im.frames[done];
         const std::uint64_t socket_wait_ns = dispatch_ns - pf.enq_ns;
         if (ctx.im.hist_queue_wait != nullptr) {
           ctx.im.hist_queue_wait->record_n(
@@ -341,6 +344,19 @@ void serve_pending(LoopCtx& ctx) {
         ctx.im.payload.clear();
         encode_answer(ctx.im.payload, pf.req_id, pf.conn->version,
                       ctx.im.wire_answers);
+        if (ctx.im.payload.size() > kMaxPayload) {
+          // A request that fitted one frame can still answer past it
+          // (answers carry more varint bytes than queries). Refuse this
+          // frame alone; the rest of the batch is answered as usual.
+          if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
+          push_error(ctx, *pf.conn, kErrMalformed, pf.req_id,
+                     "ANSWER for " + std::to_string(pf.count) +
+                         " queries would be " +
+                         std::to_string(ctx.im.payload.size()) +
+                         " bytes, over the 65535-byte kMaxPayload; send "
+                         "fewer queries per frame");
+          continue;
+        }
         push_frame(*pf.conn, static_cast<std::uint8_t>(FrameType::kAnswer),
                    ctx.im.payload);
         *ctx.frames_served += 1;
@@ -353,8 +369,10 @@ void serve_pending(LoopCtx& ctx) {
     ctx.service.route(ctx.im.requests, sink);
   } catch (const std::exception& e) {
     // Pre-validation should make this unreachable; if a batch still
-    // throws, bill every pending frame rather than killing the loop.
-    for (const auto& pf : ctx.im.frames) {
+    // throws, bill every frame the sink has not answered rather than
+    // killing the loop.
+    for (std::size_t i = sink.done; i < ctx.im.frames.size(); ++i) {
+      const auto& pf = ctx.im.frames[i];
       if (!pf.conn->dead) {
         push_error(ctx, *pf.conn, kErrMalformed, pf.req_id, e.what());
       }
@@ -390,7 +408,7 @@ void handle_query(LoopCtx& ctx, NetServer::Conn& c, const Frame& f,
   if (labeled && !labels_supported(ctx.service)) {
     if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
     push_error(ctx, c, kErrUnsupported, req_id,
-               "label-addressed queries need the flat tz serving path");
+               "label-addressed queries need the tz scheme");
     return;
   }
   for (const WireQuery& q : queries) {
@@ -433,7 +451,7 @@ void handle_label_req(LoopCtx& ctx, NetServer::Conn& c, const Frame& f) {
   if (!labels_supported(ctx.service)) {
     if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
     push_error(ctx, c, kErrUnsupported, 0,
-               "labels need the flat tz serving path");
+               "labels need the tz scheme");
     return;
   }
   const SchemePackagePtr pkg = ctx.service.package();

@@ -22,7 +22,7 @@ constexpr std::uint64_t kMagic = 0x31616574756F7263ULL;
 // the loader locates them by id, so the order on disk is irrelevant
 // (relocatable) and unknown future ids are a clean version-skew error,
 // never an out-of-bounds read. Id 3 held the FlatScheme pools in format
-// 1; format 2 compiles them from the TZ section on load instead.
+// 1; later formats compile them from the TZ section on load instead.
 constexpr std::uint32_t kSecGraph = 1;      ///< edge list, rebuilt via GraphBuilder
 constexpr std::uint32_t kSecTZ = 2;         ///< scheme_io bytes (TZ preprocessing)
 constexpr std::uint32_t kSecFlatCowen = 4;  ///< FlatCowen pools
@@ -225,8 +225,6 @@ void write_header(BufferWriter& w, const ArtifactMeta& meta,
   w.u32(kArtifactFormatVersion);
   w.u8(static_cast<std::uint8_t>(meta.scheme));
   w.u8(static_cast<std::uint8_t>(meta.sampling));
-  w.u8(meta.use_flat ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(meta.flat_lookup));
   w.u8(meta.warm_started ? 1 : 0);
   w.u32(meta.k);
   w.u32(meta.n);
@@ -270,10 +268,6 @@ ParsedHeader parse_header(std::string_view bytes) {
   const std::uint8_t sampling = r.u8();
   if (sampling > 1) reject("unknown sampling mode in header");
   h.meta.sampling = static_cast<SamplingMode>(sampling);
-  h.meta.use_flat = r.u8() != 0;
-  const std::uint8_t lookup = r.u8();
-  if (lookup > 1) reject("unknown flat lookup layout in header");
-  h.meta.flat_lookup = static_cast<FlatLookup>(lookup);
   h.meta.warm_started = r.u8() != 0;
   h.meta.k = r.u32();
   h.meta.n = r.u32();
@@ -375,39 +369,15 @@ std::uint64_t content_options_digest(const RouteServiceOptions& options) {
   h = mix64(h ^ options.k);
   h = mix64(h ^ static_cast<std::uint64_t>(options.sampling));
   h = mix64(h ^ options.seed);
-  h = mix64(h ^ (options.use_flat ? 1 : 2));
-  h = mix64(h ^ static_cast<std::uint64_t>(options.flat_lookup));
   return h;
-}
-
-bool package_persistable(const SchemePackage& pkg, std::string* reason) {
-  const bool is_tz = pkg.options.scheme == SchemeKind::kTZDirect ||
-                     pkg.options.scheme == SchemeKind::kTZHandshake;
-  if (!pkg.options.use_flat && !is_tz) {
-    if (reason != nullptr) {
-      *reason =
-          "legacy (use_flat=false) Cowen/full-table preprocessing has no "
-          "serialized form — only their flat pools do";
-    }
-    return false;
-  }
-  if (reason != nullptr) reason->clear();
-  return true;
 }
 
 std::string encode_package(const SchemePackage& pkg,
                            std::uint64_t generation) {
-  std::string why;
-  if (!package_persistable(pkg, &why)) {
-    throw std::invalid_argument("encode_package: " + why);
-  }
-
   ArtifactMeta meta;
   meta.format_version = kArtifactFormatVersion;
   meta.scheme = pkg.options.scheme;
   meta.sampling = pkg.options.sampling;
-  meta.use_flat = pkg.options.use_flat;
-  meta.flat_lookup = pkg.options.flat_lookup;
   meta.warm_started = !pkg.options.warm_start_path.empty();
   meta.k = pkg.options.k;
   meta.n = pkg.graph->num_vertices();
@@ -482,8 +452,7 @@ SchemePackagePtr decode_package(std::string_view bytes,
   if (h.meta.options_digest != content_options_digest(serving)) {
     reject(
         "built under different construction options (digest mismatch: "
-        "k/sampling/seed/use_flat/flat_lookup changed) — refusing to serve "
-        "it");
+        "k/sampling/seed changed) — refusing to serve it");
   }
 
   auto pkg = std::make_shared<SchemePackage>();
@@ -505,12 +474,7 @@ SchemePackagePtr decode_package(std::string_view bytes,
   if (is_tz) {
     pkg->tz = std::make_unique<const TZScheme>(
         load_scheme(section_bytes(bytes, h, kSecTZ), g));
-    if (serving.use_flat) {
-      compile_flat_view(*pkg);
-    } else {
-      pkg->sim = std::make_unique<const Simulator>(
-          g, SimOptions{0, serving.record_paths});
-    }
+    compile_flat_view(*pkg);
   } else if (serving.scheme == SchemeKind::kCowen) {
     SpanReader r = section_reader(bytes, h, kSecFlatCowen);
     pkg->flat_cowen = ArtifactCodec::decode_cowen(r, g);

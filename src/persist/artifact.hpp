@@ -14,7 +14,7 @@
 /// compile is cheaper than decoding stored pools was, and leaving them
 /// out halves the artifact.
 ///
-/// Layout, format 2 (all little-endian, util/serialize.hpp):
+/// Layout, format 3 (all little-endian, util/serialize.hpp):
 ///
 ///   header   magic "croutea1" · format version · generation metadata
 ///            (scheme kind, k, sampling, seed, n, options digest, graph
@@ -25,9 +25,10 @@
 ///            whichever the package carries)
 ///   trailer  CRC32C of everything before it (whole-file)
 ///
-/// Format 1 also stored a FLAT_TZ section; loaders reject it as version
-/// skew, and the service falls back to a fresh build with the reason
-/// recorded.
+/// Format 1 also stored a FLAT_TZ section, and formats 1 and 2 carried
+/// the serving-path and flat-lookup bytes of the deleted legacy path and
+/// FKS layout; loaders reject both as version skew, and the service falls
+/// back to a fresh build with the reason recorded.
 ///
 /// The dual stamps — format version for the *container*, the metadata
 /// digests for the *generation* — mean a loader rejects incompatible or
@@ -35,9 +36,8 @@
 /// per-section sums then localize any corruption to the section that
 /// rotted. Loaded state is byte-identical to a fresh build on the same
 /// (graph, options): the TZ bytes go through scheme_io's proven
-/// round-trip, the baseline pools are stored verbatim, and everything
-/// derived (the flat TZ pools, FKS perfect-hash indexes) is recompiled
-/// from the same seeds it was originally drawn from.
+/// round-trip, the baseline pools are stored verbatim, and the derived
+/// flat TZ pools are recompiled from the decoded scheme.
 ///
 /// Everything here is pure bytes-in/bytes-out; the atomic file lifecycle
 /// (tmp → fsync → rename, MANIFEST, retention, fault injection) lives in
@@ -55,15 +55,13 @@ namespace croute::persist {
 
 /// Container format version (bump on layout changes; loaders reject
 /// anything else — version skew falls back to fresh preprocessing).
-inline constexpr std::uint32_t kArtifactFormatVersion = 2;
+inline constexpr std::uint32_t kArtifactFormatVersion = 3;
 
 /// Generation metadata, readable from the header alone.
 struct ArtifactMeta {
   std::uint32_t format_version = 0;
   SchemeKind scheme = SchemeKind::kTZDirect;
   SamplingMode sampling = SamplingMode::kCentered;
-  bool use_flat = true;
-  FlatLookup flat_lookup = FlatLookup::kEytzinger;
   bool warm_started = false;  ///< generation originated from a warm start
   std::uint32_t k = 0;
   VertexId n = 0;             ///< vertex count of the payload graph
@@ -75,22 +73,14 @@ struct ArtifactMeta {
 };
 
 /// Digest over the options fields that determine a package's bytes
-/// (scheme, k, sampling, seed, use_flat, flat_lookup). Serving knobs
+/// (scheme, k, sampling, seed). Serving knobs
 /// (threads, batch_group, metrics, record_paths) do not participate: a
 /// recovered artifact serves under whatever serving options the process
 /// was started with.
 std::uint64_t content_options_digest(const RouteServiceOptions& options);
 
-/// Whether \p pkg can be written as an artifact. The only unpersistable
-/// shape is a legacy (use_flat = false) baseline package — CowenScheme /
-/// FullTableScheme preprocessing layouts are not serialized; their flat
-/// pools are. Returns false with a recorded reason instead of throwing:
-/// graceful degradation means the store logs why and the service simply
-/// pays a fresh build on the next start.
-bool package_persistable(const SchemePackage& pkg, std::string* reason);
-
-/// Serializes \p pkg into artifact bytes (throws std::invalid_argument
-/// when !package_persistable).
+/// Serializes \p pkg into artifact bytes. Every package a build or a
+/// decode produces is persistable.
 std::string encode_package(const SchemePackage& pkg,
                            std::uint64_t generation);
 

@@ -274,12 +274,6 @@ PublishResult ArtifactStore::publish_generation(const SchemePackage& pkg) {
   PublishResult res;
   obs::TraceRecorder::Span span(trace_, "artifact_publish", "persist");
   try {
-    std::string reason;
-    if (!package_persistable(pkg, &reason)) {
-      res.error = reason;
-      if (publish_failures_ != nullptr) publish_failures_->inc();
-      return res;
-    }
     // Sweep .tmp litter from crashed publishes before making more.
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
@@ -372,7 +366,8 @@ RecoverResult ArtifactStore::recover_newest(const RouteServiceOptions& serving,
   out.note = candidates.empty()
                  ? "no artifacts in " + options_.dir
                  : "no valid artifact (" + std::to_string(out.rejected.size()) +
-                       " candidate(s) rejected)";
+                       " candidate(s) rejected; first: " + out.rejected[0] +
+                       ")";
   span.arg("rejected", static_cast<double>(out.rejected.size()));
   return out;
 }

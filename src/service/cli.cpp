@@ -71,14 +71,6 @@ ServiceSetup parse_service_setup(const Flags& flags) {
   opt.sampling = parse_sampling(flags.get_string("sampling", "centered"));
   opt.seed = setup.seed + 1;
   opt.warm_start_path = flags.get_string("warm", "");
-  opt.use_flat = !flags.get_bool("legacy", false);
-  const std::string lookup = flags.get_string("lookup", "eytzinger");
-  if (lookup != "fks" && lookup != "eytzinger") {
-    throw std::invalid_argument("--lookup expects fks or eytzinger, got " +
-                                lookup);
-  }
-  opt.flat_lookup =
-      lookup == "fks" ? FlatLookup::kFKS : FlatLookup::kEytzinger;
   opt.batch_group = static_cast<std::uint32_t>(
       flags.get_int("batch-group", opt.batch_group));
   opt.persist.dir = flags.get_string("artifact-dir", "");

@@ -12,10 +12,9 @@
 /// to the binaries.
 ///
 /// Shared flags: --graph=FILE | --family=NAME --n=N [--weighted]
-/// --scheme --k --sampling --seed --threads --lookup --batch-group
-/// [--legacy] --warm=FILE --artifact-dir --artifact-retain
-/// --rebuild-retries [--no-metrics] --workload --queries --batch
-/// --source-pool
+/// --scheme --k --sampling --seed --threads --batch-group --warm=FILE
+/// --artifact-dir --artifact-retain --rebuild-retries [--no-metrics]
+/// --workload --queries --batch --source-pool
 
 #pragma once
 

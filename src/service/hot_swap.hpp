@@ -42,9 +42,9 @@
 /// rebuild successful).
 ///
 /// Each recorded rebuild also folds the package's flat-compile stats
-/// (FlatScheme::compile_stats: per-phase wall time, FKS retry counts,
-/// pool bytes) into the service telemetry, so churn reports can say how
-/// much of a rebuild was preprocessing versus flat compilation.
+/// (FlatScheme::compile_stats: per-phase wall time, pool bytes) into the
+/// service telemetry, so churn reports can say how much of a rebuild was
+/// preprocessing versus flat compilation.
 
 #pragma once
 
@@ -73,7 +73,7 @@ enum class RebuildMode {
 
 /// Rebuilds scheme generations for one RouteService and publishes them.
 /// One driver thread calls rebuild_now/rebuild_async/wait; the service's
-/// own telemetry() aggregates the rebuild/swap counters this feeds.
+/// own snapshot() aggregates the rebuild/swap counters this feeds.
 class SchemeManager {
  public:
   explicit SchemeManager(RouteService& service) noexcept

@@ -139,19 +139,14 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
   num_vertices_ = pkg->graph->num_vertices();
   flat_compile_seconds_.store(pkg->flat_stats.total_ms / 1e3,
                               std::memory_order_relaxed);
-  fks_retries_.store(
-      pkg->flat_stats.fks_top_retries + pkg->flat_stats.fks_bucket_retries,
-      std::memory_order_relaxed);
   const std::uint64_t pool_bytes = pkg->flat_stats.pool_bytes;
   package_current_ = std::move(pkg);
   pool_ = std::make_unique<ThreadPool>(options.threads);
   for (unsigned w = 0; w < pool_->size(); ++w) shards_.emplace_back();
   arenas_.resize(pool_->size());
-  if (options_.use_flat && options_.batch_group > 0) {
-    batch_scratch_.reserve(pool_->size());
-    for (unsigned w = 0; w < pool_->size(); ++w) {
-      batch_scratch_.emplace_back(options_.batch_group);
-    }
+  batch_scratch_.reserve(pool_->size());
+  for (unsigned w = 0; w < pool_->size(); ++w) {
+    batch_scratch_.emplace_back(options_.batch_group);
   }
   dest_slot_.resize(num_vertices_, 0);
   dest_epoch_.resize(num_vertices_, 0);
@@ -163,20 +158,20 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
         std::string("{scheme=\"") + scheme_name(options_.scheme) + "\"}";
     hist_latency_ = &metrics_->histogram(
         "croute_query_latency_us",
-        "Per-query service time at the worker (amortized per pipeline "
-        "generation when batch_group > 0)",
+        "Per-query service time at the worker (route(): amortized per "
+        "pipeline generation; route_one: its own wall time)",
         ms);
     hist_queue_wait_ = &metrics_->histogram(
         "croute_queue_wait_us",
         "Batch dispatch to chunk dequeue at the owning worker", ms);
     hist_batch_ = &metrics_->histogram(
-        "croute_batch_service_us", "route_batch wall time", 1);
+        "croute_batch_service_us", "route() batch wall time", 1);
     ctr_queries_ = &metrics_->counter(
         "croute_queries_total" + scheme_label, "Queries served", ms);
     ctr_delivered_ = &metrics_->counter(
         "croute_delivered_total" + scheme_label, "Queries delivered", ms);
     ctr_batches_ =
-        &metrics_->counter("croute_batches_total", "route_batch calls");
+        &metrics_->counter("croute_batches_total", "route() batches");
     ctr_swaps_ = &metrics_->counter("croute_swaps_total",
                                     "Published generation flips");
     ctr_rebuilds_ = &metrics_->counter("croute_rebuilds_total",
@@ -237,11 +232,6 @@ void RouteService::publish(SchemePackagePtr next) {
                  "is link churn)");
   CROUTE_REQUIRE(next->options.scheme == options_.scheme,
                  "hot swap must keep the scheme kind");
-  CROUTE_REQUIRE(next->options.use_flat == options_.use_flat,
-                 "hot swap must keep the serving path");
-  CROUTE_REQUIRE(next->options.record_paths == options_.record_paths,
-                 "hot swap must keep path recording (the package's "
-                 "Simulator bakes it in)");
   SchemePackagePtr retired;
   {
     std::lock_guard<std::mutex> lock(package_mutex_);
@@ -264,9 +254,6 @@ void RouteService::record_rebuild(const SchemePackage& pkg) {
   rebuild_seconds_.fetch_add(pkg.build_seconds, std::memory_order_relaxed);
   flat_compile_seconds_.fetch_add(pkg.flat_stats.total_ms / 1e3,
                                   std::memory_order_relaxed);
-  fks_retries_.fetch_add(
-      pkg.flat_stats.fks_top_retries + pkg.flat_stats.fks_bucket_retries,
-      std::memory_order_relaxed);
   if (pkg.incr_stats.used) {
     incremental_rebuilds_.fetch_add(1, std::memory_order_relaxed);
     clusters_reused_.fetch_add(pkg.incr_stats.clusters_reused,
@@ -276,35 +263,6 @@ void RouteService::record_rebuild(const SchemePackage& pkg) {
     incremental_preprocess_seconds_.fetch_add(pkg.incr_stats.total_s,
                                               std::memory_order_relaxed);
   }
-}
-
-RouteAnswer RouteService::serve_legacy(const SchemePackage& pkg,
-                                       const RouteQuery& query,
-                                       std::vector<VertexId>* path_out) const {
-  RouteResult r;
-  switch (options_.scheme) {
-    case SchemeKind::kTZDirect:
-      r = route_tz(*pkg.sim, *pkg.tz, query.s, query.t);
-      break;
-    case SchemeKind::kTZHandshake:
-      r = route_tz_handshake(*pkg.sim, *pkg.tz, query.s, query.t);
-      break;
-    case SchemeKind::kCowen:
-      r = route_cowen(*pkg.sim, *pkg.cowen, query.s, query.t);
-      break;
-    case SchemeKind::kFullTable:
-      r = route_full(*pkg.sim, *pkg.full, query.s, query.t);
-      break;
-  }
-  RouteAnswer a;
-  a.status = r.status;
-  a.length = r.length;
-  a.hops = r.hops;
-  a.header_bits = r.header_bits;
-  if (path_out) {
-    path_out->insert(path_out->end(), r.path.begin(), r.path.end());
-  }
-  return a;
 }
 
 CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
@@ -324,63 +282,55 @@ CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
     record_hop(path_out, query.s);
     return a;
   }
-  if (!options_.use_flat) {
-    CROUTE_LINT_SUPPRESS(hot_path,
-                         "legacy comparison path (use_flat=false) serves "
-                         "through the allocating simulator by design");
-    a = serve_legacy(pkg, query, path_out);
-  } else {
-    const std::uint32_t max_hops = 4 * n + 16;
-    switch (options_.scheme) {
-      case SchemeKind::kTZDirect: {
-        const FlatHeader h =
-            memo != nullptr
-                ? pkg.flat_router->prepare_resolved(
-                      query.s, query.t, memo->label,
-                      memo->light_pool != nullptr
-                          ? memo->light_pool
-                          : pkg.flat->label_light_pool())
-                : pkg.flat_router->prepare(query.s, query.t);
-        a.header_bits = h.bits;
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
-            a);
-        break;
-      }
-      case SchemeKind::kTZHandshake: {
-        const FlatHeader h = pkg.flat_router->prepare_handshake(query.s,
-                                                                query.t);
-        a.header_bits = h.bits;
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
-            a);
-        break;
-      }
-      case SchemeKind::kCowen: {
-        // Pooled SoA serving: Eytzinger cluster keys with the first-hop
-        // port alongside, home-landmark column pre-resolved in the label.
-        const FlatCowen::Label label = pkg.flat_cowen->label(query.t);
-        a.header_bits = pkg.flat_cowen->label_bits();
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) { return pkg.flat_cowen->step(v, label); },
-            path_out, a);
-        break;
-      }
-      case SchemeKind::kFullTable: {
-        a.header_bits = pkg.flat_full->label_bits();
-        walk(
-            g, query.s, query.t, max_hops,
-            [&](VertexId v) {
-              if (v == query.t) return TreeDecision{true, kNoPort};
-              return TreeDecision{false,
-                                  pkg.flat_full->next_hop(v, query.t)};
-            },
-            path_out, a);
-        break;
-      }
+  const std::uint32_t max_hops = 4 * n + 16;
+  switch (options_.scheme) {
+    case SchemeKind::kTZDirect: {
+      const FlatHeader h =
+          memo != nullptr
+              ? pkg.flat_router->prepare_resolved(
+                    query.s, query.t, memo->label,
+                    memo->light_pool != nullptr
+                        ? memo->light_pool
+                        : pkg.flat->label_light_pool())
+              : pkg.flat_router->prepare(query.s, query.t);
+      a.header_bits = h.bits;
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
+          a);
+      break;
+    }
+    case SchemeKind::kTZHandshake: {
+      const FlatHeader h = pkg.flat_router->prepare_handshake(query.s,
+                                                              query.t);
+      a.header_bits = h.bits;
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
+          a);
+      break;
+    }
+    case SchemeKind::kCowen: {
+      // Pooled SoA serving: Eytzinger cluster keys with the first-hop
+      // port alongside, home-landmark column pre-resolved in the label.
+      const FlatCowen::Label label = pkg.flat_cowen->label(query.t);
+      a.header_bits = pkg.flat_cowen->label_bits();
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) { return pkg.flat_cowen->step(v, label); },
+          path_out, a);
+      break;
+    }
+    case SchemeKind::kFullTable: {
+      a.header_bits = pkg.flat_full->label_bits();
+      walk(
+          g, query.s, query.t, max_hops,
+          [&](VertexId v) {
+            if (v == query.t) return TreeDecision{true, kNoPort};
+            return TreeDecision{false, pkg.flat_full->next_hop(v, query.t)};
+          },
+          path_out, a);
+      break;
     }
   }
   if (a.delivered() && query.exact > 0) a.stretch = a.length / query.exact;
@@ -399,10 +349,8 @@ RouteAnswer RouteService::route_one(const RouteRequest& request) const {
     return route_one(RouteQuery{request.s, request.t, request.exact});
   }
   const SchemePackagePtr pkg = package();
-  CROUTE_REQUIRE(
-      options_.scheme == SchemeKind::kTZDirect && options_.use_flat &&
-          pkg->flat != nullptr && pkg->tz != nullptr,
-      "label-addressed requests need the flat kTZDirect serving path");
+  CROUTE_REQUIRE(options_.scheme == SchemeKind::kTZDirect,
+                 "label-addressed requests need the kTZDirect scheme");
   // Locally decoded label (route_one is the single-query path — no batch
   // arenas to share; the allocations are why the label form is not HOT).
   std::vector<FlatScheme::LabelEntryView> entries;
@@ -495,12 +443,12 @@ void RouteService::group_by_destination(
     DestMemo& m = dest_memos_[dest_slot_[queries[i].t]];
     order_[m.begin + m.count++] = i;
   }
-  // Resolve each destination's label once per batch (flat TZ direct: the
+  // Resolve each destination's label once per batch (TZ direct: the
   // per-query prepare starts from the resolved view). Pooled views point
   // into \p pkg, which the caller pins for the whole batch; wire labels
   // decode into the batch arenas — every decode first (the arenas may
   // reallocate while appending), span fix-up after.
-  if (pkg.flat && options_.scheme == SchemeKind::kTZDirect) {
+  if (options_.scheme == SchemeKind::kTZDirect) {
     lab_entries_.clear();
     lab_ports_.clear();
     for (DestMemo& m : dest_memos_) {
@@ -555,10 +503,8 @@ void RouteService::route(std::span<const RouteRequest> requests,
     if (rq.label.empty()) {
       q.t = rq.t;
     } else {
-      CROUTE_REQUIRE(
-          options_.scheme == SchemeKind::kTZDirect && options_.use_flat &&
-              pkg->flat != nullptr && pkg->tz != nullptr,
-          "label-addressed requests need the flat kTZDirect serving path");
+      CROUTE_REQUIRE(options_.scheme == SchemeKind::kTZDirect,
+                     "label-addressed requests need the kTZDirect scheme");
       const LabelCodec& codec = pkg->tz->label_codec();
       const std::uint32_t id_bits = codec.id_bits();
       CROUTE_REQUIRE(rq.label_bits >= id_bits &&
@@ -576,12 +522,8 @@ void RouteService::route(std::span<const RouteRequest> requests,
 
   answers_.assign(nq, RouteAnswer{});
   std::vector<RouteAnswer>& answers = answers_;
-  const bool grouped = options_.use_flat;
-  if (grouped) {
-    group_by_destination(*pkg, queries, requests);
-  }
-  const bool memo_active =
-      pkg->flat != nullptr && options_.scheme == SchemeKind::kTZDirect;
+  group_by_destination(*pkg, queries, requests);
+  const bool memo_active = options_.scheme == SchemeKind::kTZDirect;
   std::uint64_t path_stamp = 0;
   if (options_.record_paths) {
     // Bump the arena generation FIRST: from here on, every path view a
@@ -591,173 +533,125 @@ void RouteService::route(std::span<const RouteRequest> requests,
     path_refs_.assign(queries.size(), PathRef{});
     for (auto& arena : arenas_) arena.clear();  // keeps capacity
   }
-  if (options_.use_flat && options_.batch_group > 0) {
-    // Batch-pipelined serving: each worker claims destination-grouped
-    // chunks and routes them through its FlatBatchEngine — batch_group
-    // descents interleaved, every lane's next dependent load prefetched
-    // while the other lanes compute. Answer slots, path slices and shard
-    // telemetry are written exactly as on the scalar path below, so
-    // results stay byte-identical for every group size and thread count.
-    FlatBatchTarget target;
-    target.graph = pkg->graph.get();
-    target.flat = pkg->flat.get();
-    target.cowen = pkg->flat_cowen.get();
-    target.full = pkg->flat_full.get();
-    switch (options_.scheme) {
-      case SchemeKind::kTZDirect:
-        target.kind = FlatServeKind::kTZDirect;
-        break;
-      case SchemeKind::kTZHandshake:
-        target.kind = FlatServeKind::kTZHandshake;
-        break;
-      case SchemeKind::kCowen:
-        target.kind = FlatServeKind::kCowen;
-        break;
-      case SchemeKind::kFullTable:
-        target.kind = FlatServeKind::kFullTable;
-        break;
-    }
-    // A chunk holds a few pipeline generations so refills amortize while
-    // the dynamic schedule stays responsive to skewed per-query cost.
-    const std::uint32_t chunk =
-        std::max<std::uint32_t>(32, 2 * options_.batch_group);
-    const std::uint64_t num_chunks = (queries.size() + chunk - 1) / chunk;
-    const auto dispatch = clock::now();
-    pool_->for_each(
-        num_chunks,
-        [&](std::uint64_t c, unsigned worker) {
-          const auto lo = static_cast<std::uint32_t>(c * chunk);
-          const auto hi = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(queries.size(), c * chunk + chunk));
-          BatchScratch& ws = batch_scratch_[worker];
-          ws.queries.resize(hi - lo);
-          ws.answers.assign(hi - lo, FlatBatchAnswer{});
-          for (std::uint32_t j = 0; j < hi - lo; ++j) {
-            const std::uint32_t i = order_[lo + j];
-            const RouteQuery& q = queries[i];
-            ws.queries[j].s = q.s;
-            ws.queries[j].t = q.t;
-            if (memo_active) {
-              const DestMemo& m = dest_memos_[dest_slot_[q.t]];
-              ws.queries[j].label = m.label;
-              ws.queries[j].light_pool = m.light_pool;
-            } else {
-              ws.queries[j].label = {};
-              ws.queries[j].light_pool = nullptr;
-            }
-          }
-          std::vector<VertexId>* arena =
-              options_.record_paths ? &arenas_[worker] : nullptr;
-          const auto begin = clock::now();
-          // Queue wait of every query in the chunk: dispatch → this
-          // worker dequeued the chunk (one measurement, chunk-shared).
-          const double wait_us =
-              std::chrono::duration<double>(begin - dispatch).count() * 1e6;
-          ws.engine.route(target, ws.queries, ws.answers, arena);
-          const auto end = clock::now();
-          // Chunk-local accumulation; one atomic flush per chunk below.
-          std::uint64_t nq = 0, nd = 0, nhops = 0, maxhb = 0;
-          for (std::uint32_t j = 0; j < hi - lo; ++j) {
-            const std::uint32_t i = order_[lo + j];
-            const RouteQuery& q = queries[i];
-            const FlatBatchAnswer& ba = ws.answers[j];
-            RouteAnswer& out = answers[i];
-            out.status = ba.status;
-            out.length = ba.length;
-            out.hops = ba.hops;
-            out.header_bits = ba.header_bits;
-            out.latency_us = ba.latency_us;
-            out.queue_wait_us = wait_us;
-            if (q.s == q.t) {
-              out.stretch = 1.0;
-            } else if (out.delivered() && q.exact > 0) {
-              out.stretch = out.length / q.exact;
-            }
-            if (options_.record_paths) {
-              path_refs_[i] = PathRef{worker, ba.path_off, ba.path_len};
-            }
-            ++nq;
-            if (out.delivered()) ++nd;
-            nhops += out.hops;
-            if (out.header_bits > maxhb) maxhb = out.header_bits;
-          }
-          Shard& shard = shards_[worker];
-          // queries before delivered (release): see the Shard comment.
-          shard.queries.fetch_add(nq, std::memory_order_relaxed);
-          shard.delivered.fetch_add(nd, std::memory_order_release);
-          shard.total_hops.fetch_add(nhops, std::memory_order_relaxed);
-          atomic_fetch_max(shard.max_header_bits, maxhb);
-          shard.busy_seconds.fetch_add(
-              std::chrono::duration<double>(end - begin).count(),
-              std::memory_order_relaxed);
-          if (metrics_ != nullptr) {
-            hist_queue_wait_->record_n(worker, wait_us, hi - lo);
-            ctr_queries_->add(worker, nq);
-            ctr_delivered_->add(worker, nd);
-            // Latencies repeat per pipeline generation — record each run
-            // of equal values once (a few adds per chunk, not per query).
-            std::uint32_t j = 0;
-            while (j < hi - lo) {
-              std::uint32_t run = 1;
-              while (j + run < hi - lo &&
-                     ws.answers[j + run].latency_us ==
-                         ws.answers[j].latency_us) {
-                ++run;
-              }
-              hist_latency_->record_n(worker, ws.answers[j].latency_us, run);
-              j += run;
-            }
-          }
-        },
-        1);
-  } else {
-    // Scalar serving: chunks of 32 amortize the queue handshake while
-    // keeping the dynamic schedule responsive to skewed per-query cost
-    // (far pairs walk longer).
-    const auto dispatch = clock::now();
-    pool_->for_each(
-        queries.size(),
-        [&](std::uint64_t slot, unsigned worker) {
-          const std::uint32_t i =
-              grouped ? order_[slot] : static_cast<std::uint32_t>(slot);
-          const RouteQuery& q = queries[i];
-          const DestMemo* memo =
-              memo_active ? &dest_memos_[dest_slot_[q.t]] : nullptr;
-          std::vector<VertexId>* path =
-              options_.record_paths ? &arenas_[worker] : nullptr;
-          const std::uint32_t path_off =
-              path ? static_cast<std::uint32_t>(path->size()) : 0;
-          const auto begin = clock::now();
-          answers[i] = serve(*pkg, q, path, memo);
-          const auto end = clock::now();
-          if (path) {
-            path_refs_[i] = PathRef{
-                worker, path_off,
-                static_cast<std::uint32_t>(path->size()) - path_off};
-          }
-          const double sec =
-              std::chrono::duration<double>(end - begin).count();
-          answers[i].latency_us = sec * 1e6;
-          answers[i].queue_wait_us =
-              std::chrono::duration<double>(begin - dispatch).count() * 1e6;
-          Shard& shard = shards_[worker];
-          // queries before delivered (release): see the Shard comment.
-          shard.queries.fetch_add(1, std::memory_order_relaxed);
-          if (answers[i].delivered())
-            shard.delivered.fetch_add(1, std::memory_order_release);
-          shard.total_hops.fetch_add(answers[i].hops,
-                                     std::memory_order_relaxed);
-          atomic_fetch_max(shard.max_header_bits, answers[i].header_bits);
-          shard.busy_seconds.fetch_add(sec, std::memory_order_relaxed);
-          if (metrics_ != nullptr) {
-            hist_latency_->record(worker, answers[i].latency_us);
-            hist_queue_wait_->record(worker, answers[i].queue_wait_us);
-            ctr_queries_->add(worker, 1);
-            if (answers[i].delivered()) ctr_delivered_->add(worker, 1);
-          }
-        },
-        32);
+  // Batch-pipelined serving: each worker claims destination-grouped
+  // chunks and routes them through its FlatBatchEngine — batch_group
+  // descents interleaved, every lane's next dependent load prefetched
+  // while the other lanes compute. Answer slots and path slices are
+  // indexed by request, so results are byte-identical for every group
+  // size and thread count.
+  FlatBatchTarget target;
+  target.graph = pkg->graph.get();
+  target.flat = pkg->flat.get();
+  target.cowen = pkg->flat_cowen.get();
+  target.full = pkg->flat_full.get();
+  switch (options_.scheme) {
+    case SchemeKind::kTZDirect:
+      target.kind = FlatServeKind::kTZDirect;
+      break;
+    case SchemeKind::kTZHandshake:
+      target.kind = FlatServeKind::kTZHandshake;
+      break;
+    case SchemeKind::kCowen:
+      target.kind = FlatServeKind::kCowen;
+      break;
+    case SchemeKind::kFullTable:
+      target.kind = FlatServeKind::kFullTable;
+      break;
   }
+  // A chunk holds a few pipeline generations so refills amortize while
+  // the dynamic schedule stays responsive to skewed per-query cost.
+  const std::uint32_t chunk =
+      std::max<std::uint32_t>(32, 2 * options_.batch_group);
+  const std::uint64_t num_chunks = (queries.size() + chunk - 1) / chunk;
+  const auto dispatch = clock::now();
+  pool_->for_each(
+      num_chunks,
+      [&](std::uint64_t c, unsigned worker) {
+        const auto lo = static_cast<std::uint32_t>(c * chunk);
+        const auto hi = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(queries.size(), c * chunk + chunk));
+        BatchScratch& ws = batch_scratch_[worker];
+        ws.queries.resize(hi - lo);
+        ws.answers.assign(hi - lo, FlatBatchAnswer{});
+        for (std::uint32_t j = 0; j < hi - lo; ++j) {
+          const std::uint32_t i = order_[lo + j];
+          const RouteQuery& q = queries[i];
+          ws.queries[j].s = q.s;
+          ws.queries[j].t = q.t;
+          if (memo_active) {
+            const DestMemo& m = dest_memos_[dest_slot_[q.t]];
+            ws.queries[j].label = m.label;
+            ws.queries[j].light_pool = m.light_pool;
+          } else {
+            ws.queries[j].label = {};
+            ws.queries[j].light_pool = nullptr;
+          }
+        }
+        std::vector<VertexId>* arena =
+            options_.record_paths ? &arenas_[worker] : nullptr;
+        const auto begin = clock::now();
+        // Queue wait of every query in the chunk: dispatch → this
+        // worker dequeued the chunk (one measurement, chunk-shared).
+        const double wait_us =
+            std::chrono::duration<double>(begin - dispatch).count() * 1e6;
+        ws.engine.route(target, ws.queries, ws.answers, arena);
+        const auto end = clock::now();
+        // Chunk-local accumulation; one atomic flush per chunk below.
+        std::uint64_t nq = 0, nd = 0, nhops = 0, maxhb = 0;
+        for (std::uint32_t j = 0; j < hi - lo; ++j) {
+          const std::uint32_t i = order_[lo + j];
+          const RouteQuery& q = queries[i];
+          const FlatBatchAnswer& ba = ws.answers[j];
+          RouteAnswer& out = answers[i];
+          out.status = ba.status;
+          out.length = ba.length;
+          out.hops = ba.hops;
+          out.header_bits = ba.header_bits;
+          out.latency_us = ba.latency_us;
+          out.queue_wait_us = wait_us;
+          if (q.s == q.t) {
+            out.stretch = 1.0;
+          } else if (out.delivered() && q.exact > 0) {
+            out.stretch = out.length / q.exact;
+          }
+          if (options_.record_paths) {
+            path_refs_[i] = PathRef{worker, ba.path_off, ba.path_len};
+          }
+          ++nq;
+          if (out.delivered()) ++nd;
+          nhops += out.hops;
+          if (out.header_bits > maxhb) maxhb = out.header_bits;
+        }
+        Shard& shard = shards_[worker];
+        // queries before delivered (release): see the Shard comment.
+        shard.queries.fetch_add(nq, std::memory_order_relaxed);
+        shard.delivered.fetch_add(nd, std::memory_order_release);
+        shard.total_hops.fetch_add(nhops, std::memory_order_relaxed);
+        atomic_fetch_max(shard.max_header_bits, maxhb);
+        shard.busy_seconds.fetch_add(
+            std::chrono::duration<double>(end - begin).count(),
+            std::memory_order_relaxed);
+        if (metrics_ != nullptr) {
+          hist_queue_wait_->record_n(worker, wait_us, hi - lo);
+          ctr_queries_->add(worker, nq);
+          ctr_delivered_->add(worker, nd);
+          // Latencies repeat per pipeline generation — record each run
+          // of equal values once (a few adds per chunk, not per query).
+          std::uint32_t j = 0;
+          while (j < hi - lo) {
+            std::uint32_t run = 1;
+            while (j + run < hi - lo &&
+                   ws.answers[j + run].latency_us ==
+                       ws.answers[j].latency_us) {
+              ++run;
+            }
+            hist_latency_->record_n(worker, ws.answers[j].latency_us, run);
+            j += run;
+          }
+        }
+      },
+      1);
+
   if (options_.record_paths) {
     // Arenas are append-only during the batch; pointers are stable now.
     for (std::size_t i = 0; i < answers.size(); ++i) {
@@ -829,14 +723,11 @@ std::vector<RouteAnswer> RouteService::route_collect(
     std::span<const RouteQuery> queries) {
   std::vector<RouteRequest> requests(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    requests[i] = to_request(queries[i]);
+    requests[i].s = queries[i].s;
+    requests[i].t = queries[i].t;
+    requests[i].exact = queries[i].exact;
   }
   return route_collect(std::span<const RouteRequest>{requests});
-}
-
-std::vector<RouteAnswer> RouteService::route_batch(
-    const std::vector<RouteQuery>& queries) {
-  return route_collect(std::span<const RouteQuery>{queries});
 }
 
 ServiceTelemetry RouteService::snapshot() const {
@@ -869,7 +760,6 @@ ServiceTelemetry RouteService::snapshot() const {
       max_swap_blackout_us_.load(std::memory_order_relaxed);
   t.flat_compile_seconds =
       flat_compile_seconds_.load(std::memory_order_relaxed);
-  t.fks_retries = fks_retries_.load(std::memory_order_relaxed);
   t.flat_pool_bytes = package()->flat_stats.pool_bytes;
   t.incremental_rebuilds =
       incremental_rebuilds_.load(std::memory_order_relaxed);

@@ -12,10 +12,10 @@
 ///
 /// Concurrency model — *immutable generations, sharded queries*:
 ///  - every query-path structure (tables, directories, labels, the graph
-///    CSR, the legacy simulator) lives in one refcounted, immutable
-///    SchemePackage (scheme_package.hpp);
+///    CSR) lives in one refcounted, immutable SchemePackage
+///    (scheme_package.hpp);
 ///  - the service holds the current package in a tiny pin/flip cell.
-///    route_batch pins ONE generation at batch start and serves the whole
+///    route() pins ONE generation at batch start and serves the whole
 ///    batch from it; route_one pins its own. publish() flips the pointer
 ///    (RCU-style): queries never synchronize (the pin is once per batch,
 ///    two refcount ops), writers never wait for readers, and a retired
@@ -38,13 +38,19 @@
 /// distributed-construction literature (planar compact routing) uses to
 /// price recomputation under traffic.
 ///
-/// Serving path — *flat by default*: TZ schemes are compiled into a
-/// FlatScheme (core/flat_scheme.hpp) at package build and queries run
-/// against the pooled structure-of-arrays view through FlatRouter; Cowen
-/// and full-table queries walk the graph directly (no simulator, no
-/// std::function). `use_flat = false` keeps the legacy sim/-adapter path
-/// for comparison benches. Answers are identical either way
-/// (tests/test_flat_scheme.cpp).
+/// Serving path — *one of each mode*: every scheme kind is compiled into
+/// pooled structure-of-arrays state at package build (FlatScheme /
+/// FlatRouter for the TZ kinds, FlatCowen and FlatFullTable for the
+/// baselines; core/flat_scheme.hpp), and every route() batch runs
+/// through per-worker FlatBatchEngines (core/flat_batch.hpp):
+/// batch_group queries' descents interleaved in a software pipeline,
+/// each lane's next dependent load prefetched while the other lanes
+/// compute, so one worker keeps G cache misses in flight instead of one.
+/// route_one keeps a scalar walk over the same pooled state — it must
+/// stay allocation-free and callable from any thread, so it cannot
+/// borrow per-worker engine scratch. Answers are byte-identical to the
+/// paper's reference walk (sim/) on every ISA, group size and thread
+/// count (tests/test_simd.cpp).
 ///
 /// Batched prepare: each batch is processed grouped by destination and a
 /// per-batch memo resolves every distinct destination's pooled label once
@@ -52,14 +58,6 @@
 /// cache lines stay hot and the per-query prepare starts from the
 /// resolved view). The memo's label views point into the batch's pinned
 /// package, so a concurrent swap can never dangle them.
-///
-/// Batch-pipelined serving: with `batch_group > 0` (default 16) each
-/// worker routes its chunk through a FlatBatchEngine
-/// (core/flat_batch.hpp) — batch_group queries' descents interleaved in a
-/// software pipeline, each lane's next dependent load prefetched while
-/// the other lanes compute, so one worker keeps G cache misses in flight
-/// instead of one. Answers are byte-identical to scalar serving
-/// (batch_group = 0 keeps the scalar loop; route_one is always scalar).
 ///
 /// Telemetry: every answer records status, walk length, hops, header bits
 /// and — when the query carries its exact distance — stretch; the service
@@ -120,8 +118,8 @@ struct RouteQuery {
 /// `label` non-empty ⇒ `t` is ignored (leave it kNoVertex) and the
 /// label's leading id field names the destination.
 ///
-/// Label-addressed requests require the flat kTZDirect serving path and
-/// are validated strictly: a truncated, trailing-garbage or out-of-range
+/// Label-addressed requests require the kTZDirect scheme and are
+/// validated strictly: a truncated, trailing-garbage or out-of-range
 /// label makes route() throw std::invalid_argument for the whole batch.
 /// Front-ends serving untrusted bytes (src/net/) pre-validate each frame
 /// and reject it alone instead.
@@ -136,19 +134,10 @@ struct RouteRequest {
   Weight exact = kUnknownDistance;  ///< true distance when known (stretch)
 };
 
-/// The vertex-addressed request for a legacy RouteQuery.
-inline RouteRequest to_request(const RouteQuery& q) noexcept {
-  RouteRequest r;
-  r.s = q.s;
-  r.t = q.t;
-  r.exact = q.exact;
-  return r;
-}
-
 /// A guarded, non-owning view of an answer's recorded path. Behaves like
 /// (and converts to) std::span<const VertexId>, but every access checks a
 /// generation stamp against the owning arena's current generation: using
-/// a view that a later route()/route_batch/route_one call invalidated
+/// a view that a later route()/route_one call invalidated
 /// fails loudly (std::logic_error via CROUTE_ASSERT) instead of silently
 /// reading reused arena memory. The check is always on — CI runs Release
 /// (NDEBUG) builds, where CROUTE_DCHECK would vanish — and costs one
@@ -198,7 +187,7 @@ class PathView {
 ///
 /// \p path is a non-owning view into a service-owned arena (per-worker
 /// arenas for batches, a separate dedicated arena for route_one). A
-/// route_batch call invalidates all previously returned views; a
+/// route() call invalidates all previously returned views; a
 /// route_one call invalidates only the previous route_one answer's view
 /// (the closed-loop driver interleaves route_one verification with live
 /// batch answers and relies on this). All views die with the service;
@@ -209,24 +198,21 @@ struct RouteAnswer {
   std::uint32_t hops = 0;       ///< edges traversed
   std::uint64_t header_bits = 0;  ///< wire size of the carried header
   double stretch = 0;           ///< length / exact (delivered, exact known)
-  /// Service time at the worker (telemetry). Scalar serving measures each
-  /// query's own wall time; batch-pipelined serving (batch_group > 0)
-  /// reports the query's amortized share of its pipeline generation's
-  /// wall time — G queries run interleaved, so per-lane wall time would
-  /// charge every query for all G. Latency percentiles from the two modes
-  /// are therefore different metrics (bench rows carry a latency_metric
-  /// marker).
+  /// Service time at the worker (telemetry). route() reports the query's
+  /// amortized share of its pipeline generation's wall time — G queries
+  /// run interleaved, so per-lane wall time would charge every query for
+  /// all G (bench rows mark this latency_metric "group_amortized");
+  /// route_one measures its own wall time.
   ///
   /// latency_us is pure SERVICE time: the clock starts when a worker
-  /// dequeues the query's chunk, not when route_batch was called. The
+  /// dequeues the query's chunk, not when route() was called. The
   /// time a query spent parked in the pool's queue behind other chunks is
   /// reported separately as queue_wait_us — summing the two gives the
   /// sojourn a client would observe. Earlier versions conflated them for
   /// grouped destination batches; keep them separate when aggregating.
   double latency_us = 0;
   /// Queue wait (µs): batch dispatch → the owning worker dequeued this
-  /// query's chunk. Batched serving measures it per chunk (every query in
-  /// a chunk shares the value); scalar serving per query. Zero for
+  /// query's chunk (every query in a chunk shares the value). Zero for
   /// route_one (no pool dispatch).
   double queue_wait_us = 0;
   PathView path;  ///< visited vertices (record_paths); stamp-guarded view
@@ -272,13 +258,11 @@ struct ServiceTelemetry {
   /// Blackout: max wall time (µs) of one batch that straddled a swap —
   /// the worst interruption any client observed during a flip.
   double max_swap_blackout_us = 0;
-  // --- flat-compile attribution (zeros off the flat TZ path) ---
+  // --- flat-compile attribution (zeros for the non-TZ kinds) ---
   /// Summed FlatScheme compile wall time over every build this service
   /// performed (initial + rebuilds) — the slice of rebuild_seconds the
   /// flat view costs.
   double flat_compile_seconds = 0;
-  /// Summed FKS retry counts over those compiles (seeding luck).
-  std::uint64_t fks_retries = 0;
   /// Pool bytes of the CURRENT generation's flat view.
   std::uint64_t flat_pool_bytes = 0;
   // --- incremental-rebuild attribution (delta-aware rebuilds only) ---
@@ -305,11 +289,11 @@ struct ServiceTelemetry {
 
 /// A concurrent route-query engine over immutable scheme generations.
 ///
-/// route_batch and route_one are externally synchronized against each
-/// other only through the per-batch scratch: one *driver* thread calls
-/// route_batch at a time; route_one (record_paths off) is safe from any
-/// thread, concurrently with batches AND with publish(). publish() is
-/// safe from any thread, and so is snapshot()/telemetry() — shards are
+/// route() and route_one are externally synchronized against each other
+/// only through the per-batch scratch: one *driver* thread calls route()
+/// at a time; route_one (record_paths off) is safe from any thread,
+/// concurrently with batches AND with publish(). publish() is safe from
+/// any thread, and so is snapshot() — shards are
 /// relaxed atomics merged with an ordering that keeps delivered <=
 /// queries in every snapshot (see snapshot()).
 class RouteService {
@@ -333,7 +317,7 @@ class RouteService {
   /// stays fully valid for as long as the caller holds the pointer, no
   /// matter how many swaps happen meanwhile. The pin itself copies the
   /// shared_ptr under a tiny mutex — two refcount ops, once per *batch*
-  /// (route_batch pins once and serves every query from the pin), so the
+  /// (route() pins once and serves every query from the pin), so the
   /// query hot path never touches it.
   CROUTE_HOT SchemePackagePtr package() const {
     CROUTE_LINT_SUPPRESS(hot_path,
@@ -366,37 +350,30 @@ class RouteService {
   /// through \p sink in one callback: answers[i] is the route for
   /// requests[i]. Sharded over the worker pool in destination-grouped
   /// order; deterministic for every thread count; the whole batch is
-  /// served from one pinned generation. The socket front-end (src/net/),
-  /// route_collect and the deprecated route_batch shim all funnel here —
-  /// one pipeline, one set of invariants. Driver-thread only (one caller
-  /// at a time; route_one stays concurrent).
+  /// served from one pinned generation. The socket front-end (src/net/)
+  /// and route_collect both funnel here — one pipeline, one set of
+  /// invariants. Driver-thread only (one caller at a time; route_one
+  /// stays concurrent).
   void route(std::span<const RouteRequest> requests, RouteSink& sink);
 
   /// Adapter over route(): collects the answers into a vector (the
   /// in-process convenience form; one copy of the answer structs).
   std::vector<RouteAnswer> route_collect(
       std::span<const RouteRequest> requests);
-  /// Adapter over route() for vertex-addressed legacy queries.
+  /// Adapter over route() for vertex-addressed queries (the workload
+  /// generators' form).
   std::vector<RouteAnswer> route_collect(std::span<const RouteQuery> queries);
-
-  /// Deprecated shim over route() — kept source-compatible for old
-  /// callers; answers are byte-identical to route_collect(queries)
-  /// (tests/test_net.cpp proves it).
-  [[deprecated(
-      "route_batch is a shim; use route(requests, sink) or "
-      "route_collect")]]
-  std::vector<RouteAnswer> route_batch(const std::vector<RouteQuery>& queries);
 
   /// Serves one request on the calling thread (no pool dispatch) against
   /// the current generation. Label-addressed requests decode the label
-  /// locally (kTZDirect flat path only). The answer's path points into a
+  /// locally (kTZDirect only). The answer's path points into a
   /// dedicated arena: it invalidates only the previous route_one answer's
   /// path, never a batch's (see RouteAnswer::path). With record_paths off
   /// this is safe to call concurrently (telemetry lands in an atomic
   /// slot).
   RouteAnswer route_one(const RouteRequest& request) const;
 
-  /// route_one for the legacy vertex-addressed query form.
+  /// route_one for the vertex-addressed query form.
   CROUTE_HOT RouteAnswer route_one(const RouteQuery& query) const;
 
   /// Merged telemetry over all worker shards, the route_one slot, and
@@ -409,9 +386,6 @@ class RouteService {
   /// observes some prefix of each shard's stream, exact once recording
   /// quiesces.
   ServiceTelemetry snapshot() const;
-
-  /// Alias for snapshot(), kept for existing call sites.
-  ServiceTelemetry telemetry() const { return snapshot(); }
 
   /// The service's metric registry (histograms, counters, gauges — see
   /// the croute_* names in README "Observability"), or nullptr when
@@ -441,8 +415,8 @@ class RouteService {
   /// (stats, IO). Valid until the next publish(); pin package() to keep.
   const TZScheme* tz_scheme() const noexcept { return package()->tz.get(); }
 
-  /// The current generation's flat view, or nullptr (non-TZ kinds or
-  /// use_flat off). Same lifetime contract as tz_scheme().
+  /// The current generation's flat view, or nullptr (non-TZ kinds).
+  /// Same lifetime contract as tz_scheme().
   const FlatScheme* flat_scheme() const noexcept {
     return package()->flat.get();
   }
@@ -496,7 +470,7 @@ class RouteService {
   static constexpr std::uint32_t kNoRequest = ~std::uint32_t{0};
 
   /// Per-batch memo for one distinct destination: its slice of the
-  /// processing order and, on the flat TZ path, the resolved label —
+  /// processing order and, for kTZDirect, the resolved label —
   /// either the generation's pooled label (vertex-addressed) or the
   /// client's wire label decoded once into the batch arenas
   /// (label-addressed). A batch mixing both forms for the same t serves
@@ -526,14 +500,12 @@ class RouteService {
     std::uint32_t len = 0;
   };
 
-  /// Serves one query against \p pkg, writing the path (if any) into
-  /// \p path_out.
+  /// route_one's scalar walk: serves one query against \p pkg, writing
+  /// the path (if any) into \p path_out.
   CROUTE_HOT RouteAnswer serve(const SchemePackage& pkg,
                                const RouteQuery& query,
                                std::vector<VertexId>* path_out,
                                const DestMemo* memo) const;
-  RouteAnswer serve_legacy(const SchemePackage& pkg, const RouteQuery& query,
-                           std::vector<VertexId>* path_out) const;
 
   /// route_one's shared tail: serve + timing + the one-slot telemetry
   /// (memo carries a locally decoded label for the label-addressed form).
@@ -574,11 +546,10 @@ class RouteService {
   std::atomic<std::uint64_t> swap_seq_{0};
 
   // Swap/rebuild telemetry (atomic: publish/record_rebuild may run on a
-  // background thread while the driver thread reads telemetry()).
+  // background thread while the driver thread reads snapshot()).
   std::atomic<std::uint64_t> rebuilds_{0};
   std::atomic<double> rebuild_seconds_{0};
   std::atomic<double> flat_compile_seconds_{0};
-  std::atomic<std::uint64_t> fks_retries_{0};
   std::atomic<std::uint64_t> incremental_rebuilds_{0};
   std::atomic<std::uint64_t> clusters_reused_{0};
   std::atomic<std::uint64_t> clusters_total_{0};
@@ -626,7 +597,7 @@ class RouteService {
   std::vector<std::vector<VertexId>> arenas_;
   mutable std::vector<VertexId> one_arena_;
 
-  // Per-worker pipelined engines (batch_group > 0 on the flat path).
+  // Per-worker pipelined engines.
   std::vector<BatchScratch> batch_scratch_;
 
   // Reusable per-batch scratch (amortized allocation-free). Touched only

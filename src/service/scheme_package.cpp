@@ -42,9 +42,8 @@ SamplingMode parse_sampling(const std::string& name) {
 }
 
 std::string RouteServiceOptions::validate() const {
-  if (batch_group != 0 && (batch_group & (batch_group - 1)) != 0) {
-    return "batch_group must be 0 (scalar serving) or a power of two "
-           "(e.g. 16, 32, 64); got " +
+  if (batch_group == 0 || (batch_group & (batch_group - 1)) != 0) {
+    return "batch_group must be a power of two (e.g. 16, 32, 64); got " +
            std::to_string(batch_group);
   }
   const bool is_tz =
@@ -77,21 +76,14 @@ std::uint64_t SchemePackage::table_bits(VertexId v) const {
   switch (options.scheme) {
     case SchemeKind::kTZDirect:
     case SchemeKind::kTZHandshake: return tz->table_bits(v);
-    case SchemeKind::kCowen:
-      return flat_cowen != nullptr ? flat_cowen->table_bits(v)
-                                   : cowen->table_bits(v);
-    case SchemeKind::kFullTable:
-      return flat_full != nullptr ? flat_full->table_bits(v)
-                                  : full->table_bits(v);
+    case SchemeKind::kCowen: return flat_cowen->table_bits(v);
+    case SchemeKind::kFullTable: return flat_full->table_bits(v);
   }
   return 0;
 }
 
 void compile_flat_view(SchemePackage& pkg) {
   CROUTE_REQUIRE(pkg.tz != nullptr, "compile_flat_view needs a TZ scheme");
-  FlatSchemeOptions fopt;
-  fopt.lookup = pkg.options.flat_lookup;
-  fopt.hash_seed = mix64(pkg.options.seed ^ 0xf1a7c0def1a7c0deULL);
   // Shard the compile over a transient pool (per-vertex slices are
   // disjoint; the compiled bytes are pool-size-invariant). Serial when
   // only one core is available — the pool would only add queue overhead.
@@ -101,9 +93,8 @@ void compile_flat_view(SchemePackage& pkg) {
   std::unique_ptr<ThreadPool> compile_pool;
   if (compile_threads > 1) {
     compile_pool = std::make_unique<ThreadPool>(compile_threads);
-    fopt.pool = compile_pool.get();
   }
-  pkg.flat = std::make_unique<const FlatScheme>(*pkg.tz, fopt);
+  pkg.flat = std::make_unique<const FlatScheme>(*pkg.tz, compile_pool.get());
   pkg.flat_router = std::make_unique<const FlatRouter>(*pkg.flat);
   pkg.flat_stats = pkg.flat->compile_stats();
 }
@@ -120,35 +111,21 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
                                IncrementalRebuildStats incr_stats) {
   using clock = std::chrono::steady_clock;
   CROUTE_REQUIRE(graph != nullptr, "build_scheme_package needs a graph");
+  // User input (a CLI flag combination) can land here: one actionable
+  // message from the options' own check, the same one the service's
+  // constructor and the CLIs report.
+  const std::string invalid = options.validate();
+  if (!invalid.empty()) throw std::invalid_argument(invalid);
   const Graph& g = *graph;
   CROUTE_REQUIRE(g.num_vertices() >= 2, "RouteService needs >= 2 vertices");
   CROUTE_REQUIRE(is_connected(g),
                  "RouteService requires a connected graph (route per "
                  "component via PartitionedScheme upstream)");
-  const bool is_tz = options.scheme == SchemeKind::kTZDirect ||
-                     options.scheme == SchemeKind::kTZHandshake;
-  if (!options.warm_start_path.empty() && !is_tz) {
-    // User input (a CLI flag combination) lands here: be actionable, not
-    // terse — say what to change, and point at the path that does cover
-    // this scheme kind.
-    throw std::invalid_argument(
-        std::string("warm start: '") + options.warm_start_path +
-        "' is a scheme_io TZ preprocessing file, which scheme '" +
-        scheme_name(options.scheme) +
-        "' cannot load — drop --warm, or use --artifact-dir (the persist "
-        "tier covers every scheme kind)");
-  }
 
   const auto begin = clock::now();
   auto pkg = std::make_shared<SchemePackage>();
   pkg->options = options;
   pkg->graph = std::move(graph);
-  if (!options.use_flat) {
-    // The simulator exists only for the legacy serving path; the flat
-    // path carries pooled views instead of preprocessing-layout state.
-    pkg->sim = std::make_unique<const Simulator>(
-        g, SimOptions{0, options.record_paths});
-  }
   switch (options.scheme) {
     case SchemeKind::kTZDirect:
     case SchemeKind::kTZHandshake: {
@@ -173,29 +150,22 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
         Rng rng(options.seed);
         pkg->tz = std::make_unique<const TZScheme>(g, opt, rng);
       }
-      if (options.use_flat) compile_flat_view(*pkg);
+      compile_flat_view(*pkg);
       break;
     }
     case SchemeKind::kCowen: {
+      // Preprocess, compile the pooled view, drop the preprocessing.
       Rng rng(options.seed);
-      if (options.use_flat) {
-        // Preprocess, compile the pooled view, drop the preprocessing.
-        const CowenScheme cowen(g, rng);
-        pkg->flat_cowen = std::make_unique<const FlatCowen>(cowen, g);
-      } else {
-        pkg->cowen = std::make_unique<const CowenScheme>(g, rng);
-      }
+      const CowenScheme cowen(g, rng);
+      pkg->flat_cowen = std::make_unique<const FlatCowen>(cowen, g);
       break;
     }
-    case SchemeKind::kFullTable:
-      if (options.use_flat) {
-        FullTableScheme full(g);
-        pkg->flat_full =
-            std::make_unique<const FlatFullTable>(std::move(full), g);
-      } else {
-        pkg->full = std::make_unique<const FullTableScheme>(g);
-      }
+    case SchemeKind::kFullTable: {
+      FullTableScheme full(g);
+      pkg->flat_full =
+          std::make_unique<const FlatFullTable>(std::move(full), g);
       break;
+    }
   }
   pkg->incr_stats = incr_stats;
   pkg->build_seconds = std::chrono::duration<double>(clock::now() - begin).count();

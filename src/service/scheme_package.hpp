@@ -3,8 +3,8 @@
 ///
 /// Hot-swapping a routing scheme under live traffic only works if
 /// *everything* a query touches — the graph CSR, the TZ preprocessing,
-/// the compiled flat view, the baseline state, and the legacy-path
-/// simulator — lives and dies as ONE unit. SchemePackage is that unit:
+/// the compiled flat view, and the pooled baseline state — lives and dies
+/// as ONE unit. SchemePackage is that unit:
 /// built once by build_scheme_package(), immutable afterwards, and
 /// shared via `std::shared_ptr<const SchemePackage>` so the reference
 /// count IS the retirement protocol. RouteService publishes a package
@@ -17,8 +17,8 @@
 /// owns its Graph (a value copy — rebuilds serve a *different* topology
 /// than the caller's original), TZScheme points into that graph,
 /// FlatScheme points into the TZScheme, FlatRouter into the FlatScheme,
-/// and the Simulator (legacy serving path) into the graph. Destruction
-/// runs in reverse member order, so no dangling pointers at teardown.
+/// and the pooled baselines into the graph. Destruction runs in reverse
+/// member order, so no dangling pointers at teardown.
 
 #pragma once
 
@@ -32,7 +32,6 @@
 #include "core/incremental_rebuild.hpp"
 #include "core/tz_scheme.hpp"
 #include "graph/graph.hpp"
-#include "sim/simulator.hpp"
 
 namespace croute {
 
@@ -78,20 +77,12 @@ struct RouteServiceOptions {
   /// runs usually don't). Paths land in per-worker arenas — see
   /// RouteAnswer::path for the validity contract.
   bool record_paths = false;
-  /// Serve from the flat compiled view (default). false = legacy
-  /// sim/-adapter path, kept for comparison benches.
-  bool use_flat = true;
-  /// Lookup layout of the flat view (TZ schemes only). The FlatScheme
-  /// default is kFKS (the paper's O(1) hash-table story); the service
-  /// defaults to the Eytzinger descent, which wins end-to-end on walks —
-  /// per-hop probes of the per-vertex key slices stay in cache where the
-  /// global hash's slot arrays do not (bench_micro_decision shows both).
-  FlatLookup flat_lookup = FlatLookup::kEytzinger;
   /// Pipeline depth of the batched serving engine (core/flat_batch.hpp):
   /// how many queries' descents one worker keeps in flight, prefetching
-  /// each lane's next load while the others compute. 0 = scalar serving
-  /// (one descent at a time); answers are byte-identical either way.
-  /// Flat path only; 8–16 covers the dev containers we measure on.
+  /// each lane's next load while the others compute. A power of two;
+  /// every route() batch runs through the engine, and answers are
+  /// byte-identical at every depth. 8–16 covers the dev containers we
+  /// measure on.
   std::uint32_t batch_group = 16;
   /// Worker threads for the flat compile passes (0 = worker_count(),
   /// 1 = serial). The compiled bytes are identical at every count.
@@ -153,13 +144,11 @@ struct RouteServiceOptions {
 /// every query-path structure, owned together. Share as
 /// `std::shared_ptr<const SchemePackage>`; never mutate after build.
 ///
-/// On the flat path (use_flat, the default) every SchemeKind serves from
-/// pooled SoA state — flat/flat_router for the TZ kinds, flat_cowen /
-/// flat_full for the baselines — and the preprocessing-layout objects
-/// (sim, cowen, full) are *not carried*: they exist transiently during
-/// build and are dropped once their pooled views are compiled. With
-/// use_flat off the package instead carries the legacy structures and no
-/// pooled views (the comparison-bench configuration).
+/// Every SchemeKind serves from pooled SoA state — flat/flat_router for
+/// the TZ kinds, flat_cowen / flat_full for the baselines. The Cowen and
+/// full-table preprocessing objects exist transiently during build and
+/// are dropped once their pooled views are compiled; the TZ scheme stays
+/// (labels, the handshake's pivots and persistence read it).
 struct SchemePackage {
   SchemePackage() = default;
   SchemePackage(const SchemePackage&) = delete;
@@ -167,17 +156,14 @@ struct SchemePackage {
 
   RouteServiceOptions options;  ///< the options this generation was built with
   std::shared_ptr<const Graph> graph;
-  std::unique_ptr<const Simulator> sim;  ///< legacy serving path only
   std::unique_ptr<const TZScheme> tz;
   std::unique_ptr<const FlatScheme> flat;
   std::unique_ptr<const FlatRouter> flat_router;
-  std::unique_ptr<const FlatCowen> flat_cowen;    ///< flat path, kCowen
-  std::unique_ptr<const FlatFullTable> flat_full; ///< flat path, kFullTable
-  std::unique_ptr<const CowenScheme> cowen;        ///< legacy path only
-  std::unique_ptr<const FullTableScheme> full;     ///< legacy path only
+  std::unique_ptr<const FlatCowen> flat_cowen;     ///< kCowen
+  std::unique_ptr<const FlatFullTable> flat_full;  ///< kFullTable
   double build_seconds = 0;  ///< wall time of build_scheme_package
-  /// Where the flat compile's time/space went (zeros off the flat TZ
-  /// path) — surfaced per swap by the rebuild telemetry.
+  /// Where the flat compile's time/space went (zeros for the non-TZ
+  /// kinds) — surfaced per swap by the rebuild telemetry.
   FlatCompileStats flat_stats;
   /// What the delta-aware rebuild reused (used=false for initial builds
   /// and full rebuilds) — the reuse-ratio/phase-timing half of the
@@ -192,15 +178,17 @@ using SchemePackagePtr = std::shared_ptr<const SchemePackage>;
 
 /// Compiles \p pkg.tz into the flat serving view (flat, flat_router,
 /// flat_stats) under \p pkg.options. The one place the flat compile's
-/// options (lookup layout, hash seed, compile pool) are chosen: fresh
-/// builds and artifact recovery both call it, so a recovered generation's
-/// pools are the pools a fresh build compiles from the same TZ scheme.
+/// pool is chosen: fresh builds and artifact recovery both call it, so a
+/// recovered generation's pools are the pools a fresh build compiles from
+/// the same TZ scheme.
 void compile_flat_view(SchemePackage& pkg);
 
 /// Preprocesses \p graph under \p options into a fresh package.
 /// Deterministic: (graph, options) fixes every byte of the result, so a
 /// hot-swapped generation is indistinguishable from a fresh service's.
-/// Safe to call from a background thread — it touches nothing shared.
+/// Throws std::invalid_argument with options.validate()'s message when
+/// the options are inconsistent. Safe to call from a background thread —
+/// it touches nothing shared.
 SchemePackagePtr build_scheme_package(std::shared_ptr<const Graph> graph,
                                       const RouteServiceOptions& options);
 

@@ -338,13 +338,13 @@ ChurnReport run_closed_loop_churn(RouteService& service, SchemeManager& manager,
   std::vector<RouteQuery> stream = traffic;
   for (RouteQuery& q : stream) q.exact = kUnknownDistance;
 
-  const ServiceTelemetry before = service.telemetry();
+  const ServiceTelemetry before = service.snapshot();
   Graph current = service.graph();  // value copy: generations own graphs
   Rng rng(churn.seed);
   std::uint32_t fired = 0;
 
   // Per-RUN swap-straddle accounting, measured by the driver around its
-  // own route_batch calls (the service-side max_swap_blackout_us is a
+  // own route() calls (the service-side max_swap_blackout_us is a
   // service-lifetime high-water mark; a report must not attribute an
   // earlier run's blackout to this one). The driver's observation window
   // encloses the service's, so this count is conservative (>=).
@@ -418,7 +418,7 @@ ChurnReport run_closed_loop_churn(RouteService& service, SchemeManager& manager,
   manager.wait();
   timed_tail_batch();  // observe the final generation under load
 
-  const ServiceTelemetry after = service.telemetry();
+  const ServiceTelemetry after = service.snapshot();
   report.swaps = after.swaps - before.swaps;
   report.straddled_batches = run_straddled;
   report.max_blackout_us = run_blackout_us;

@@ -22,7 +22,6 @@ namespace croute::simd {
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kGeneric: return "generic";
-    case Isa::kSSE42: return "sse42";
     case Isa::kAVX2: return "avx2";
     case Isa::kNEON: return "neon";
   }
@@ -31,7 +30,6 @@ const char* isa_name(Isa isa) noexcept {
 
 std::optional<Isa> isa_from_name(std::string_view name) noexcept {
   if (name == "generic") return Isa::kGeneric;
-  if (name == "sse42") return Isa::kSSE42;
   if (name == "avx2") return Isa::kAVX2;
   if (name == "neon") return Isa::kNEON;
   return std::nullopt;
@@ -42,7 +40,6 @@ namespace {
 const Ops* table_for(Isa isa) noexcept {
   switch (isa) {
     case Isa::kGeneric: return &kGenericOps;
-    case Isa::kSSE42: return &kSse42Ops;
     case Isa::kAVX2: return &kAvx2Ops;
     case Isa::kNEON: return &kNeonOps;
   }
@@ -53,12 +50,6 @@ bool cpu_supports(Isa isa) noexcept {
   switch (isa) {
     case Isa::kGeneric:
       return true;
-    case Isa::kSSE42:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse4.2") != 0;
-#else
-      return false;
-#endif
     case Isa::kAVX2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") != 0;
@@ -77,7 +68,7 @@ bool cpu_supports(Isa isa) noexcept {
 
 /// Widest-first auto-selection order across both architectures; the
 /// tables not compiled into this binary drop out via available().
-constexpr Isa kPreference[] = {Isa::kAVX2, Isa::kNEON, Isa::kSSE42};
+constexpr Isa kPreference[] = {Isa::kAVX2, Isa::kNEON};
 
 std::atomic<const Ops*> g_selected{nullptr};
 
@@ -102,18 +93,13 @@ const Ops* resolve_initial() noexcept {
 
 bool available(Isa isa) noexcept {
   const Ops* table = table_for(isa);
-  return table->eytzinger_batch != nullptr &&
-         table->fks_value_batch != nullptr && cpu_supports(isa);
+  return table->eytzinger_batch != nullptr && cpu_supports(isa);
 }
 
 std::vector<Isa> compiled() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kGeneric, Isa::kSSE42, Isa::kAVX2, Isa::kNEON}) {
-    const Ops* table = table_for(isa);
-    if (table->eytzinger_batch != nullptr &&
-        table->fks_value_batch != nullptr) {
-      out.push_back(isa);
-    }
+  for (Isa isa : {Isa::kGeneric, Isa::kAVX2, Isa::kNEON}) {
+    if (table_for(isa)->eytzinger_batch != nullptr) out.push_back(isa);
   }
   return out;
 }

@@ -9,7 +9,7 @@
 ///
 /// eytzinger_one must stay in lockstep with flat_detail::eytzinger_find
 /// (core/flat_scheme.hpp): the engine's equivalence story is that a
-/// kernel probe returns exactly what the scalar serving path computes.
+/// kernel probe returns exactly what the scalar FlatScheme::find computes.
 /// tests/test_simd.cpp pins both directions.
 
 #pragma once
@@ -41,7 +41,7 @@ CROUTE_HOT inline std::uint32_t eytzinger_one(const std::uint32_t* keys,
 /// value after the `while (i <= len)` loop exits), resolves the slice
 /// position / miss. Vector implementations run the loop across lanes
 /// and finish each lane through this — the trailing-ones shift has no
-/// vector form on SSE/AVX2/NEON, and the final equality re-reads a key
+/// vector form on AVX2/NEON, and the final equality re-reads a key
 /// the descent just gathered (cache-hot).
 CROUTE_HOT inline std::uint32_t eytzinger_epilogue(const std::uint32_t* keys,
                                         std::uint32_t off, std::uint32_t len,
@@ -60,22 +60,6 @@ CROUTE_HOT inline void eytzinger_batch_scalar(const std::uint32_t* keys,
                                    std::uint32_t count) noexcept {
   for (std::uint32_t l = 0; l < count; ++l) {
     out[l] = eytzinger_one(keys, offs[l], lens[l], xs[l]);
-  }
-}
-
-/// Scalar fks_value_batch (the generic kernel and every tail loop).
-/// Mirrors PerfectHashMap::value_at with the miss mapped to kNotFound.
-CROUTE_HOT inline void fks_value_batch_scalar(const std::uint64_t* slot_keys,
-                                   const std::uint32_t* slot_values,
-                                   const std::uint64_t* slots,
-                                   const std::uint64_t* want,
-                                   std::uint32_t* out,
-                                   std::uint32_t count) noexcept {
-  for (std::uint32_t l = 0; l < count; ++l) {
-    const std::uint64_t slot = slots[l];
-    out[l] = (slot == kNoSlot || slot_keys[slot] != want[l])
-                 ? kNotFound
-                 : slot_values[slot];
   }
 }
 

@@ -161,7 +161,7 @@ void ThreadPool::for_each(std::uint64_t count,
     // Serial fallback on the caller's thread; worker index 0 is the
     // documented scratch slot for inline execution (the pool is quiescent
     // from this caller's perspective, per the wait()-between-batches
-    // contract of route_batch-style users).
+    // contract of batch-driving callers such as RouteService::route).
     for (std::uint64_t i = 0; i < count; ++i) fn(i, 0);
     return;
   }

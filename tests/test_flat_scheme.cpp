@@ -1,10 +1,10 @@
 // Randomized equivalence suite for core/flat_scheme.hpp: the flat
-// compiled view must agree with the legacy VertexTable / ClusterDirectory
+// compiled view must agree with TZScheme's VertexTable / ClusterDirectory
 // / RoutingLabel structures answer-for-answer — same find results, same
 // prepared headers (pivot, tree label, exact wire bits), same per-hop
-// decisions — across k ∈ {2,3,4}, both lookup layouts (Eytzinger + FKS),
-// and all three routing policies; and the flat RouteService must serve
-// byte-identical answers to the legacy path at every thread count.
+// decisions — across k ∈ {2,3,4} and all three routing policies; and
+// RouteService must serve byte-identical answers to the sim/ reference
+// walk at every thread count and pipeline depth.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "core/flat_batch.hpp"
 #include "core/flat_scheme.hpp"
 #include "core/tz_router.hpp"
+#include "reference_walk.hpp"
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
@@ -23,7 +24,6 @@
 namespace croute {
 namespace {
 
-constexpr FlatLookup kLayouts[] = {FlatLookup::kEytzinger, FlatLookup::kFKS};
 constexpr RoutingPolicy kPolicies[] = {RoutingPolicy::kMinLevel,
                                        RoutingPolicy::kMinEstimate,
                                        RoutingPolicy::kLabelOnly};
@@ -44,17 +44,17 @@ struct FlatFixture {
   }
 };
 
-void expect_same_header(const TZHeader& legacy, const FlatHeader& flat,
+void expect_same_header(const TZHeader& ref, const FlatHeader& flat,
                         const TZRouter& router) {
-  ASSERT_EQ(legacy.target, flat.target);
-  ASSERT_EQ(legacy.tree_root, flat.tree_root);
-  ASSERT_EQ(legacy.tree_label.dfs_in, flat.dfs_in);
-  ASSERT_EQ(legacy.tree_label.light_ports.size(), flat.light_len);
+  ASSERT_EQ(ref.target, flat.target);
+  ASSERT_EQ(ref.tree_root, flat.tree_root);
+  ASSERT_EQ(ref.tree_label.dfs_in, flat.dfs_in);
+  ASSERT_EQ(ref.tree_label.light_ports.size(), flat.light_len);
   for (std::uint32_t j = 0; j < flat.light_len; ++j) {
-    ASSERT_EQ(legacy.tree_label.light_ports[j], flat.light[j]);
+    ASSERT_EQ(ref.tree_label.light_ports[j], flat.light[j]);
   }
   // The precomputed bits table must agree with the BitWriter encoding.
-  ASSERT_EQ(router.header_bits(legacy), flat.bits);
+  ASSERT_EQ(router.header_bits(ref), flat.bits);
 }
 
 // Walk the route stepping BOTH routers at every vertex; they must agree
@@ -80,50 +80,46 @@ void expect_same_walk(const Graph& g, VertexId s, VertexId t,
 TEST(FlatScheme, FindMatchesLegacyLookup) {
   for (const std::uint32_t k : {2u, 3u, 4u}) {
     const FlatFixture fx(k, 150, 100 + k);
-    for (const FlatLookup layout : kLayouts) {
-      FlatSchemeOptions fopt;
-      fopt.lookup = layout;
-      const FlatScheme flat(*fx.scheme, fopt);
-      Rng probe_rng(7);
-      for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
-        // Every present key must be found with identical payloads.
-        for (const TableEntry& e : fx.scheme->table(v).entries()) {
-          const std::uint32_t idx = flat.find(v, e.w);
-          ASSERT_NE(idx, FlatScheme::kNotFound);
-          EXPECT_EQ(flat.dist(idx), e.dist);
-          EXPECT_EQ(flat.level(idx), e.level);
-          EXPECT_EQ(flat.record(idx).dfs_in, e.record.dfs_in);
-          EXPECT_EQ(flat.record(idx).parent_port, e.record.parent_port);
-          const TreeLabel own = fx.scheme->table(v).own_label(e);
-          EXPECT_EQ(flat.own_dfs(idx), own.dfs_in);
-          const auto ports = flat.own_light_ports(idx);
-          ASSERT_EQ(ports.size(), own.light_ports.size());
-          for (std::size_t j = 0; j < ports.size(); ++j) {
-            EXPECT_EQ(ports[j], own.light_ports[j]);
-          }
+    const FlatScheme flat(*fx.scheme);
+    Rng probe_rng(7);
+    for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
+      // Every present key must be found with identical payloads.
+      for (const TableEntry& e : fx.scheme->table(v).entries()) {
+        const std::uint32_t idx = flat.find(v, e.w);
+        ASSERT_NE(idx, FlatScheme::kNotFound);
+        EXPECT_EQ(flat.dist(idx), e.dist);
+        EXPECT_EQ(flat.level(idx), e.level);
+        EXPECT_EQ(flat.record(idx).dfs_in, e.record.dfs_in);
+        EXPECT_EQ(flat.record(idx).parent_port, e.record.parent_port);
+        const TreeLabel own = fx.scheme->table(v).own_label(e);
+        EXPECT_EQ(flat.own_dfs(idx), own.dfs_in);
+        const auto ports = flat.own_light_ports(idx);
+        ASSERT_EQ(ports.size(), own.light_ports.size());
+        for (std::size_t j = 0; j < ports.size(); ++j) {
+          EXPECT_EQ(ports[j], own.light_ports[j]);
         }
-        // Random probes agree on membership (mostly misses).
-        for (int r = 0; r < 16; ++r) {
-          const auto w =
-              static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
-          EXPECT_EQ(flat.find(v, w) != FlatScheme::kNotFound,
-                    fx.scheme->lookup(v, w) != nullptr);
-        }
-        // Directory membership agrees as well.
-        const ClusterDirectory& dir = fx.scheme->directory(v);
-        for (const VertexId t : dir.members()) {
-          const std::uint32_t di = flat.dir_find(v, t);
-          ASSERT_NE(di, FlatScheme::kNotFound);
-          const std::uint32_t li = dir.find_index(t);
-          ASSERT_NE(li, ClusterDirectory::kNoIndex);
-          EXPECT_EQ(flat.dir_dfs(di), dir.dfs_at(li));
-        }
-        for (int r = 0; r < 16; ++r) {
-          const auto t =
-              static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
-          EXPECT_EQ(flat.dir_find(v, t) != FlatScheme::kNotFound,
-                    dir.contains(t));
-        }
+      }
+      // Random probes agree on membership (mostly misses).
+      for (int r = 0; r < 16; ++r) {
+        const auto w =
+            static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
+        EXPECT_EQ(flat.find(v, w) != FlatScheme::kNotFound,
+                  fx.scheme->lookup(v, w) != nullptr);
+      }
+      // Directory membership agrees as well.
+      const ClusterDirectory& dir = fx.scheme->directory(v);
+      for (const VertexId t : dir.members()) {
+        const std::uint32_t di = flat.dir_find(v, t);
+        ASSERT_NE(di, FlatScheme::kNotFound);
+        const std::uint32_t li = dir.find_index(t);
+        ASSERT_NE(li, ClusterDirectory::kNoIndex);
+        EXPECT_EQ(flat.dir_dfs(di), dir.dfs_at(li));
+      }
+      for (int r = 0; r < 16; ++r) {
+        const auto t =
+            static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
+        EXPECT_EQ(flat.dir_find(v, t) != FlatScheme::kNotFound,
+                  dir.contains(t));
       }
     }
   }
@@ -133,33 +129,28 @@ TEST(FlatScheme, PrepareAndStepMatchLegacyEverywhere) {
   for (const std::uint32_t k : {2u, 3u, 4u}) {
     const FlatFixture fx(k, 120, 200 + k);
     const TZRouter router(*fx.scheme);
-    for (const FlatLookup layout : kLayouts) {
-      FlatSchemeOptions fopt;
-      fopt.lookup = layout;
-      const FlatScheme flat(*fx.scheme, fopt);
-      const FlatRouter frouter(flat);
-      for (const PairSample& p : all_pairs(fx.g)) {
-        for (const RoutingPolicy policy : kPolicies) {
-          const TZHeader lh =
-              router.prepare(p.s, fx.scheme->label(p.t), policy);
-          const FlatHeader fh = frouter.prepare(p.s, p.t, policy);
-          expect_same_header(lh, fh, router);
-          if (policy == RoutingPolicy::kMinLevel) {
-            expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
-          }
-        }
-        const TZHeader lh = router.prepare_handshake(p.s, p.t);
-        const FlatHeader fh = frouter.prepare_handshake(p.s, p.t);
+    const FlatScheme flat(*fx.scheme);
+    const FlatRouter frouter(flat);
+    for (const PairSample& p : all_pairs(fx.g)) {
+      for (const RoutingPolicy policy : kPolicies) {
+        const TZHeader lh = router.prepare(p.s, fx.scheme->label(p.t), policy);
+        const FlatHeader fh = frouter.prepare(p.s, p.t, policy);
         expect_same_header(lh, fh, router);
-        expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
+        if (policy == RoutingPolicy::kMinLevel) {
+          expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
+        }
       }
+      const TZHeader lh = router.prepare_handshake(p.s, p.t);
+      const FlatHeader fh = frouter.prepare_handshake(p.s, p.t);
+      expect_same_header(lh, fh, router);
+      expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
     }
   }
 }
 
 TEST(FlatScheme, PrepareResolvedMatchesPrepare) {
   const FlatFixture fx(3, 150, 321);
-  const FlatScheme flat(*fx.scheme, {});
+  const FlatScheme flat(*fx.scheme);
   const FlatRouter frouter(flat);
   for (const PairSample& p : all_pairs(fx.g)) {
     const FlatHeader a = frouter.prepare(p.s, p.t);
@@ -177,35 +168,30 @@ TEST(FlatScheme, PrepareResolvedMatchesPrepare) {
 // regimes — and in particular the boundary and everything past it (a
 // caller-decoded label may carry more light ports than any pooled one) —
 // must agree bit-for-bit with the BitWriter run TZRouter::header_bits
-// performs, under both lookup layouts.
+// performs.
 TEST(FlatScheme, HeaderBitsExactAtAndBeyondTableEdge) {
   for (const std::uint32_t k : {2u, 3u, 4u}) {
     const FlatFixture fx(k, 150, 500 + k);
     const TZRouter router(*fx.scheme);
-    for (const FlatLookup lookup : kLayouts) {
-      FlatSchemeOptions opt;
-      opt.lookup = lookup;
-      const FlatScheme flat(*fx.scheme, opt);
-      const std::uint32_t edge = flat.header_bits_table_len();
-      ASSERT_GE(edge, 1u);  // length 0 is always pooled
-      for (std::uint32_t len = 0; len <= edge + 8; ++len) {
-        TZHeader legacy;
-        legacy.target = 0;
-        legacy.tree_root = 0;
-        legacy.tree_label.dfs_in = 0;
-        legacy.tree_label.light_ports.assign(len, 0);
-        EXPECT_EQ(flat.header_bits_for(len), router.header_bits(legacy))
-            << "k=" << k << " lookup=" << flat_lookup_name(lookup)
-            << " light_len=" << len << " (table edge at " << edge << ")";
-      }
+    const FlatScheme flat(*fx.scheme);
+    const std::uint32_t edge = flat.header_bits_table_len();
+    ASSERT_GE(edge, 1u);  // length 0 is always pooled
+    for (std::uint32_t len = 0; len <= edge + 8; ++len) {
+      TZHeader header;
+      header.target = 0;
+      header.tree_root = 0;
+      header.tree_label.dfs_in = 0;
+      header.tree_label.light_ports.assign(len, 0);
+      EXPECT_EQ(flat.header_bits_for(len), router.header_bits(header))
+          << "k=" << k << " light_len=" << len << " (table edge at " << edge
+          << ")";
     }
   }
 }
 
-// The flat service must serve answer-for-answer what the legacy path
-// serves, for every scheme kind, both lookup layouts, and every thread
-// count.
-TEST(FlatService, MatchesLegacyServiceAtEveryThreadCount) {
+// The service must serve answer-for-answer what the sim/ reference walk
+// routes, for every scheme kind and every thread count.
+TEST(FlatService, MatchesReferenceWalkAtEveryThreadCount) {
   Rng grng(55);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 300, grng);
   Rng prng(56);
@@ -216,32 +202,21 @@ TEST(FlatService, MatchesLegacyServiceAtEveryThreadCount) {
   for (const SchemeKind kind :
        {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
         SchemeKind::kFullTable}) {
-    RouteServiceOptions legacy_opt;
-    legacy_opt.scheme = kind;
-    legacy_opt.threads = 1;
-    legacy_opt.k = 3;
-    legacy_opt.seed = 77;
-    legacy_opt.record_paths = true;
-    legacy_opt.use_flat = false;
-    RouteService legacy(g, legacy_opt);
-    const std::vector<RouteAnswer> reference = legacy.route_collect(queries);
-
-    for (const FlatLookup layout : kLayouts) {
-      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        RouteServiceOptions opt = legacy_opt;
-        opt.use_flat = true;
-        opt.flat_lookup = layout;
-        opt.threads = threads;
-        RouteService flat_service(g, opt);
-        const std::vector<RouteAnswer> answers =
-            flat_service.route_collect(queries);
-        ASSERT_EQ(answers.size(), reference.size());
-        for (std::size_t i = 0; i < answers.size(); ++i) {
-          ASSERT_TRUE(same_route(reference[i], answers[i]))
-              << scheme_name(kind) << "/" << flat_lookup_name(layout)
-              << " diverges at pair " << i << " with " << threads
-              << " threads";
-        }
+    RouteServiceOptions opt;
+    opt.scheme = kind;
+    opt.k = 3;
+    opt.seed = 77;
+    opt.record_paths = true;
+    const ReferenceWalk ref = reference_walk(g, opt, queries);
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      opt.threads = threads;
+      RouteService service(g, opt);
+      const std::vector<RouteAnswer> answers = service.route_collect(queries);
+      ASSERT_EQ(answers.size(), ref.answers.size());
+      for (std::size_t i = 0; i < answers.size(); ++i) {
+        ASSERT_TRUE(same_route(ref.answers[i], answers[i]))
+            << scheme_name(kind) << " diverges at pair " << i << " with "
+            << threads << " threads";
       }
     }
   }
@@ -275,12 +250,11 @@ TEST(FlatService, DestinationMemoMatchesRouteOne) {
   }
 }
 
-// The batch-pipelined engine must serve byte-identical answers to scalar
-// serving for every scheme kind, both lookup layouts and every pipeline
-// depth — including a group of 1, ragged final generations (query count
-// not divisible by the group), and self-queries. The scalar reference is
-// the same service with batch_group = 0.
-TEST(FlatBatch, BatchedMatchesScalarAcrossKindsLayoutsAndGroups) {
+// The batch-pipelined engine must serve byte-identical answers to the
+// reference walk for every scheme kind and every pipeline depth —
+// including a group of 1, ragged final generations (query count not
+// divisible by the group), and self-queries.
+TEST(FlatBatch, BatchedMatchesReferenceWalkAcrossKindsAndGroups) {
   Rng grng(71);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 260, grng);
   Rng prng(72);
@@ -297,46 +271,32 @@ TEST(FlatBatch, BatchedMatchesScalarAcrossKindsLayoutsAndGroups) {
     for (const SchemeKind kind :
          {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
           SchemeKind::kFullTable}) {
-      for (const FlatLookup layout : kLayouts) {
-        RouteServiceOptions scalar_opt;
-        scalar_opt.scheme = kind;
-        scalar_opt.threads = 2;
-        scalar_opt.k = k;
-        scalar_opt.seed = 73;
-        scalar_opt.record_paths = true;
-        scalar_opt.flat_lookup = layout;
-        scalar_opt.batch_group = 0;  // scalar reference
-        RouteService scalar(g, scalar_opt);
-        const std::vector<RouteAnswer> reference =
-            scalar.route_collect(queries);
-
-        for (const std::uint32_t group : {1u, 4u, 8u, 16u}) {
-          RouteServiceOptions opt = scalar_opt;
-          opt.batch_group = group;
-          RouteService batched(g, opt);
-          const std::vector<RouteAnswer> answers =
-              batched.route_collect(queries);
-          ASSERT_EQ(answers.size(), reference.size());
-          for (std::size_t i = 0; i < answers.size(); ++i) {
-            ASSERT_TRUE(same_route(reference[i], answers[i]))
-                << scheme_name(kind) << "/" << flat_lookup_name(layout)
-                << " k=" << k << " group=" << group << " diverges at query "
-                << i;
-          }
-        }
-        // Layouts only affect the TZ probes; one pass suffices for the
-        // baselines.
-        if (kind == SchemeKind::kCowen || kind == SchemeKind::kFullTable) {
-          break;
+      RouteServiceOptions opt;
+      opt.scheme = kind;
+      opt.threads = 2;
+      opt.k = k;
+      opt.seed = 73;
+      opt.record_paths = true;
+      const ReferenceWalk ref = reference_walk(g, opt, queries);
+      for (const std::uint32_t group : {1u, 4u, 8u, 16u}) {
+        opt.batch_group = group;
+        RouteService batched(g, opt);
+        const std::vector<RouteAnswer> answers =
+            batched.route_collect(queries);
+        ASSERT_EQ(answers.size(), ref.answers.size());
+        for (std::size_t i = 0; i < answers.size(); ++i) {
+          ASSERT_TRUE(same_route(ref.answers[i], answers[i]))
+              << scheme_name(kind) << " k=" << k << " group=" << group
+              << " diverges at query " << i;
         }
       }
     }
   }
 }
 
-// The batched path must reject out-of-range endpoints up front like the
-// scalar path does (the engine itself never bounds-checks — the grouping
-// pass is the gate for both endpoints).
+// route() must reject out-of-range endpoints up front (the engine itself
+// never bounds-checks — the grouping pass is the gate for both
+// endpoints).
 TEST(FlatBatch, RejectsOutOfRangeEndpoints) {
   Rng grng(41);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 80, grng);
@@ -352,35 +312,31 @@ TEST(FlatBatch, RejectsOutOfRangeEndpoints) {
 }
 
 // decide() — the micro bench's batched source decision — must agree with
-// scalar prepare + step for every pair, under both layouts.
+// scalar prepare + step for every pair.
 TEST(FlatBatch, DecideMatchesScalarPrepareStep) {
   const FlatFixture fx(3, 200, 81);
   const Graph& g = fx.g;
-  for (const FlatLookup layout : kLayouts) {
-    FlatSchemeOptions fopt;
-    fopt.lookup = layout;
-    const FlatScheme flat(*fx.scheme, fopt);
-    const FlatRouter router(flat);
-    FlatBatchTarget target;
-    target.graph = &g;
-    target.kind = FlatServeKind::kTZDirect;
-    target.flat = &flat;
-    std::vector<FlatBatchQuery> qs;
-    for (const PairSample& p : all_pairs(g)) {
-      qs.push_back(FlatBatchQuery{p.s, p.t, flat.label(p.t)});
-    }
-    std::vector<FlatBatchAnswer> as(qs.size());
-    FlatBatchEngine engine(8);
-    engine.decide(target, qs, as);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const FlatHeader h = router.prepare(qs[i].s, qs[i].t);
-      const TreeDecision d = router.step(qs[i].s, h);
-      ASSERT_EQ(as[i].tree_root, h.tree_root) << "pair " << i;
-      ASSERT_EQ(as[i].header_bits, h.bits) << "pair " << i;
-      ASSERT_EQ(as[i].first_deliver, d.deliver) << "pair " << i;
-      if (!d.deliver) {
-        ASSERT_EQ(as[i].first_port, d.port) << "pair " << i;
-      }
+  const FlatScheme flat(*fx.scheme);
+  const FlatRouter router(flat);
+  FlatBatchTarget target;
+  target.graph = &g;
+  target.kind = FlatServeKind::kTZDirect;
+  target.flat = &flat;
+  std::vector<FlatBatchQuery> qs;
+  for (const PairSample& p : all_pairs(g)) {
+    qs.push_back(FlatBatchQuery{p.s, p.t, flat.label(p.t)});
+  }
+  std::vector<FlatBatchAnswer> as(qs.size());
+  FlatBatchEngine engine(8);
+  engine.decide(target, qs, as);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const FlatHeader h = router.prepare(qs[i].s, qs[i].t);
+    const TreeDecision d = router.step(qs[i].s, h);
+    ASSERT_EQ(as[i].tree_root, h.tree_root) << "pair " << i;
+    ASSERT_EQ(as[i].header_bits, h.bits) << "pair " << i;
+    ASSERT_EQ(as[i].first_deliver, d.deliver) << "pair " << i;
+    if (!d.deliver) {
+      ASSERT_EQ(as[i].first_port, d.port) << "pair " << i;
     }
   }
 }
@@ -392,7 +348,7 @@ TEST(FlatBatch, DecideMatchesScalarPrepareStep) {
 TEST(FlatBatch, HandshakeRouteMatchesScalarWalk) {
   const FlatFixture fx(3, 150, 91);
   const Graph& g = fx.g;
-  const FlatScheme flat(*fx.scheme, {});
+  const FlatScheme flat(*fx.scheme);
   const FlatRouter router(flat);
   FlatBatchTarget target;
   target.graph = &g;
@@ -429,58 +385,51 @@ TEST(FlatBatch, HandshakeRouteMatchesScalarWalk) {
 // Compiling the flat view over a ThreadPool must produce byte-identical
 // pools to the serial compile: same indices from find, same payloads,
 // same pooled labels, same wire-size table, same pool footprint. (The
-// TSan CI job runs this test, so the parallel fill passes and the
-// concurrent FKS index builds are race-checked too.)
+// TSan CI job runs this test, so the parallel fill passes are
+// race-checked too.)
 TEST(FlatScheme, ParallelCompileMatchesSerial) {
   const FlatFixture fx(3, 220, 61);
   ThreadPool pool(4);
-  for (const FlatLookup layout : kLayouts) {
-    FlatSchemeOptions serial_opt;
-    serial_opt.lookup = layout;
-    const FlatScheme serial(*fx.scheme, serial_opt);
-    FlatSchemeOptions par_opt = serial_opt;
-    par_opt.pool = &pool;
-    const FlatScheme parallel(*fx.scheme, par_opt);
+  const FlatScheme serial(*fx.scheme);
+  const FlatScheme parallel(*fx.scheme, &pool);
 
-    ASSERT_EQ(serial.pool_bytes(), parallel.pool_bytes());
-    ASSERT_EQ(serial.header_bits_table_len(), parallel.header_bits_table_len());
-    EXPECT_EQ(parallel.compile_stats().threads, 4u);
-    for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
-      ASSERT_EQ(serial.table_size(v), parallel.table_size(v));
-      for (const TableEntry& e : fx.scheme->table(v).entries()) {
-        const std::uint32_t a = serial.find(v, e.w);
-        const std::uint32_t b = parallel.find(v, e.w);
-        ASSERT_EQ(a, b);
-        ASSERT_NE(a, FlatScheme::kNotFound);
-        ASSERT_EQ(serial.dist(a), parallel.dist(b));
-        ASSERT_EQ(serial.own_dfs(a), parallel.own_dfs(b));
-        const auto pa = serial.own_light_ports(a);
-        const auto pb = parallel.own_light_ports(b);
-        ASSERT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));
-      }
-      const ClusterDirectory& dir = fx.scheme->directory(v);
-      for (const VertexId t : dir.members()) {
-        const std::uint32_t a = serial.dir_find(v, t);
-        const std::uint32_t b = parallel.dir_find(v, t);
-        ASSERT_EQ(a, b);
-        ASSERT_EQ(serial.dir_dfs(a), parallel.dir_dfs(b));
-      }
-      const auto la = serial.label(v);
-      const auto lb = parallel.label(v);
-      ASSERT_EQ(la.size(), lb.size());
-      for (std::size_t j = 0; j < la.size(); ++j) {
-        ASSERT_EQ(la[j].w, lb[j].w);
-        ASSERT_EQ(la[j].dfs_in, lb[j].dfs_in);
-        ASSERT_EQ(la[j].light_len, lb[j].light_len);
-      }
+  ASSERT_EQ(serial.pool_bytes(), parallel.pool_bytes());
+  ASSERT_EQ(serial.header_bits_table_len(), parallel.header_bits_table_len());
+  EXPECT_EQ(parallel.compile_stats().threads, 4u);
+  for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
+    ASSERT_EQ(serial.table_size(v), parallel.table_size(v));
+    for (const TableEntry& e : fx.scheme->table(v).entries()) {
+      const std::uint32_t a = serial.find(v, e.w);
+      const std::uint32_t b = parallel.find(v, e.w);
+      ASSERT_EQ(a, b);
+      ASSERT_NE(a, FlatScheme::kNotFound);
+      ASSERT_EQ(serial.dist(a), parallel.dist(b));
+      ASSERT_EQ(serial.own_dfs(a), parallel.own_dfs(b));
+      const auto pa = serial.own_light_ports(a);
+      const auto pb = parallel.own_light_ports(b);
+      ASSERT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));
+    }
+    const ClusterDirectory& dir = fx.scheme->directory(v);
+    for (const VertexId t : dir.members()) {
+      const std::uint32_t a = serial.dir_find(v, t);
+      const std::uint32_t b = parallel.dir_find(v, t);
+      ASSERT_EQ(a, b);
+      ASSERT_EQ(serial.dir_dfs(a), parallel.dir_dfs(b));
+    }
+    const auto la = serial.label(v);
+    const auto lb = parallel.label(v);
+    ASSERT_EQ(la.size(), lb.size());
+    for (std::size_t j = 0; j < la.size(); ++j) {
+      ASSERT_EQ(la[j].w, lb[j].w);
+      ASSERT_EQ(la[j].dfs_in, lb[j].dfs_in);
+      ASSERT_EQ(la[j].light_len, lb[j].light_len);
     }
   }
 }
 
-// On the flat path every kind serves from pooled SoA state and the
-// package must NOT carry the preprocessing-layout baseline objects (nor
-// the legacy simulator); with use_flat off it carries exactly those.
-TEST(FlatService, FlatPackagesDropLegacyBaselineState) {
+// Every kind serves from pooled SoA state, and table_bits over that
+// state must match the preprocessing structures' own accounting.
+TEST(FlatService, PooledStateMatchesPreprocessingTableBits) {
   Rng grng(31);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 150, grng);
   for (const SchemeKind kind :
@@ -489,30 +438,31 @@ TEST(FlatService, FlatPackagesDropLegacyBaselineState) {
     opt.scheme = kind;
     opt.threads = 1;
     opt.seed = 32;
-    RouteService flat_service(g, opt);
-    const SchemePackagePtr pkg = flat_service.package();
-    EXPECT_EQ(pkg->sim, nullptr) << scheme_name(kind);
-    EXPECT_EQ(pkg->cowen, nullptr) << scheme_name(kind);
-    EXPECT_EQ(pkg->full, nullptr) << scheme_name(kind);
+    RouteService service(g, opt);
+    const SchemePackagePtr pkg = service.package();
+    Rng rng(opt.seed);
+    std::unique_ptr<CowenScheme> cowen;
+    std::unique_ptr<FullTableScheme> full;
     switch (kind) {
       case SchemeKind::kTZDirect:
         EXPECT_NE(pkg->flat, nullptr);
         break;
       case SchemeKind::kCowen:
         EXPECT_NE(pkg->flat_cowen, nullptr);
+        cowen = std::make_unique<CowenScheme>(g, rng);
         break;
       case SchemeKind::kFullTable:
         EXPECT_NE(pkg->flat_full, nullptr);
+        full = std::make_unique<FullTableScheme>(g);
         break;
       default: break;
     }
-    // table_bits serves from the pooled state and matches the legacy
-    // accounting.
-    RouteServiceOptions legacy_opt = opt;
-    legacy_opt.use_flat = false;
-    RouteService legacy(g, legacy_opt);
     for (VertexId v = 0; v < g.num_vertices(); v += 17) {
-      EXPECT_EQ(flat_service.table_bits(v), legacy.table_bits(v))
+      const std::uint64_t expected =
+          cowen != nullptr  ? cowen->table_bits(v)
+          : full != nullptr ? full->table_bits(v)
+                            : pkg->tz->table_bits(v);
+      EXPECT_EQ(service.table_bits(v), expected)
           << scheme_name(kind) << " v=" << v;
     }
   }

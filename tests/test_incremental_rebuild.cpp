@@ -398,7 +398,7 @@ TEST(IncrementalHotSwap, AsyncIncrementalCyclesUnderLiveBatches) {
           << "cycle " << cycle << " diverges at " << i;
     }
   }
-  const ServiceTelemetry t = service.telemetry();
+  const ServiceTelemetry t = service.snapshot();
   EXPECT_EQ(t.incremental_rebuilds, 3u);
   EXPECT_GT(t.clusters_total, 0u);
   EXPECT_GT(t.incremental_preprocess_seconds, 0.0);

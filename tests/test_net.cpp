@@ -10,10 +10,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <span>
 #include <string>
 #include <thread>
@@ -378,6 +380,26 @@ void with_server(RouteService& service, net::NetServerOptions nopt,
   loop.join();
 }
 
+/// A raw loopback TCP socket to \p port (no handshake), for tests that
+/// must control exactly which bytes go out in one write. Reads time out
+/// after 10 s so a missing reply fails the test instead of hanging it.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return fd;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 // ---------------------------------------------------------------------
 // decode_wire_label hostile inputs
 // ---------------------------------------------------------------------
@@ -685,14 +707,8 @@ TEST(NetServe, FramingErrorDropsConnectionLoudly) {
   NetFixture fx;
   RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
   with_server(service, {}, [&](net::NetClient&, net::NetServer& server) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = connect_raw(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
     const std::uint8_t poison[] = {0xB0, 0x00};  // reserved type
     ASSERT_EQ(::send(fd, poison, sizeof poison, 0),
               static_cast<ssize_t>(sizeof poison));
@@ -729,33 +745,88 @@ TEST(NetServe, FramingErrorDropsConnectionLoudly) {
   });
 }
 
-// ---------------------------------------------------------------------
-// Redesigned-API satellites: the deprecated shim and the stamped paths
-// ---------------------------------------------------------------------
-
-TEST(RouteApi, DeprecatedRouteBatchShimIsByteIdentical) {
+TEST(NetServe, OversizedAnswerFailsOnlyItsOwnFrame) {
+  // A QUERY frame that fits kMaxPayload can still answer past it: ids
+  // below 128 cost 2 payload bytes per query, a v2 answer at least 5.
+  // Sent in one write behind a small frame, both coalesce into one
+  // batch. The oversized ANSWER must cost only its own frame — one ERROR
+  // naming the limit — while the small frame gets exactly one ANSWER and
+  // no ERROR, and the connection keeps serving.
   NetFixture fx;
-  const VertexId n = fx.g.num_vertices();
   RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
-  Rng rng(23);
-  std::vector<RouteQuery> queries(128);
-  for (auto& q : queries) {
-    q = {static_cast<VertexId>(rng.next_below(n)),
-         static_cast<VertexId>(rng.next_below(n)), kUnknownDistance};
-  }
-  const std::vector<RouteAnswer> via_new =
-      service.route_collect(std::span<const RouteQuery>{queries});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const std::vector<RouteAnswer> via_shim = service.route_batch(queries);
-#pragma GCC diagnostic pop
-  ASSERT_EQ(via_shim.size(), via_new.size());
-  for (std::size_t i = 0; i < via_shim.size(); ++i) {
-    EXPECT_TRUE(same_route(via_shim[i], via_new[i])) << i;
-    EXPECT_EQ(via_shim[i].header_bits, via_new[i].header_bits) << i;
-    EXPECT_EQ(via_shim[i].hops, via_new[i].hops) << i;
-  }
+  net::NetServerOptions nopt;
+  nopt.max_pending = 32768;
+  with_server(service, nopt, [&](net::NetClient&, net::NetServer& server) {
+    const auto queries = [](std::uint32_t count) {
+      std::vector<WireQuery> q(count);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        q[i] = {i % 100, (7 * i + 1) % 100, {}, 0};
+      }
+      return q;
+    };
+    std::vector<std::uint8_t> wire, payload;
+    const auto append = [&](FrameType type) {
+      net::encode_header(static_cast<std::uint8_t>(type), payload.size(),
+                         wire);
+      wire.insert(wire.end(), payload.begin(), payload.end());
+      payload.clear();
+    };
+    net::encode_hello(payload, net::kProtocolVersion);
+    append(FrameType::kHello);
+    net::encode_query(payload, 1, queries(4), false);
+    append(FrameType::kQueryV);
+    net::encode_query(payload, 2, queries(20000), false);
+    ASSERT_LE(payload.size(), net::kMaxPayload);
+    append(FrameType::kQueryV);
+    net::encode_query(payload, 3, queries(4), false);  // served afterwards
+    append(FrameType::kQueryV);
+
+    const int fd = connect_raw(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+
+    std::map<std::uint64_t, int> answers, errors;
+    std::string big_error;
+    FrameDecoder dec;
+    while (answers[3] == 0) {
+      std::uint8_t buf[4096];
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      ASSERT_GT(n, 0) << "connection closed or timed out";
+      dec.feed(std::span<const std::uint8_t>(buf,
+                                             static_cast<std::size_t>(n)));
+      Frame f;
+      while (dec.next(f)) {
+        std::uint64_t req_id = 0;
+        if (f.type == static_cast<std::uint8_t>(FrameType::kAnswer)) {
+          std::vector<WireAnswer> got;
+          ASSERT_TRUE(net::decode_answer(f.payload, net::kProtocolVersion,
+                                         req_id, got));
+          EXPECT_EQ(got.size(), 4u) << "req " << req_id;
+          ++answers[req_id];
+        } else if (f.type == static_cast<std::uint8_t>(FrameType::kError)) {
+          std::uint32_t code = 0;
+          std::string message;
+          ASSERT_TRUE(net::decode_error(f.payload, code, req_id, message));
+          EXPECT_EQ(code, net::kErrMalformed);
+          ++errors[req_id];
+          if (req_id == 2) big_error = message;
+        }
+      }
+    }
+    ::close(fd);
+    EXPECT_EQ(answers[1], 1);
+    EXPECT_EQ(errors[1], 0);
+    EXPECT_EQ(answers[2], 0);
+    EXPECT_EQ(errors[2], 1);
+    EXPECT_NE(big_error.find("65535"), std::string::npos) << big_error;
+    EXPECT_EQ(errors[3], 0);
+  });
 }
+
+// ---------------------------------------------------------------------
+// Stamped path views
+// ---------------------------------------------------------------------
 
 TEST(RouteApi, StalePathViewFailsLoudly) {
   NetFixture fx;

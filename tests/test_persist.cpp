@@ -48,13 +48,12 @@ Graph test_graph(std::uint64_t seed, VertexId n = 300) {
   return make_workload(GraphFamily::kErdosRenyi, n, rng);
 }
 
-RouteServiceOptions base_options(SchemeKind kind, bool use_flat = true) {
+RouteServiceOptions base_options(SchemeKind kind) {
   RouteServiceOptions opt;
   opt.scheme = kind;
   opt.threads = 1;
   opt.k = 3;
   opt.seed = 99;
-  opt.use_flat = use_flat;
   opt.record_paths = false;
   opt.metrics = false;
   return opt;
@@ -106,8 +105,6 @@ TEST_P(ArtifactRoundtrip, DecodeThenReencodeIsByteIdentical) {
   const Graph g = test_graph(3);
   const RouteServiceOptions opt = base_options(GetParam());
   const SchemePackagePtr pkg = build(g, opt);
-  std::string reason;
-  ASSERT_TRUE(persist::package_persistable(*pkg, &reason)) << reason;
 
   const std::string bytes = persist::encode_package(*pkg, 7);
   const persist::ArtifactMeta meta = persist::read_artifact_meta(bytes);
@@ -147,59 +144,18 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ArtifactRoundtrip,
                                            SchemeKind::kCowen,
                                            SchemeKind::kFullTable));
 
-TEST(ArtifactRoundtripLegacy, TZLegacyPackageRoundtrips) {
-  // use_flat = false keeps the legacy sim path; the artifact stores
-  // graph + TZ bytes and the decoder rebuilds the simulator.
-  const Graph g = test_graph(4, 200);
-  const RouteServiceOptions opt =
-      base_options(SchemeKind::kTZDirect, /*use_flat=*/false);
-  const SchemePackagePtr pkg = build(g, opt);
-  const std::string bytes = persist::encode_package(*pkg, 1);
-  const SchemePackagePtr rt = persist::decode_package(bytes, opt);
-  ASSERT_NE(rt, nullptr);
-  ASSERT_NE(rt->sim, nullptr);
-  EXPECT_TRUE(persist::encode_package(*rt, 1) == bytes);
-}
-
-TEST(ArtifactRoundtripLegacy, LegacyBaselinesAreUnpersistableWithReason) {
-  const Graph g = test_graph(5, 120);
-  const SchemePackagePtr pkg =
-      build(g, base_options(SchemeKind::kCowen, /*use_flat=*/false));
-  std::string reason;
-  EXPECT_FALSE(persist::package_persistable(*pkg, &reason));
-  EXPECT_FALSE(reason.empty());
-  EXPECT_THROW(persist::encode_package(*pkg, 1), std::invalid_argument);
-}
-
-TEST(ArtifactRoundtrip, FKSLookupRoundtrips) {
-  // The FKS perfect-hash indexes are derived state: not serialized,
-  // recomputed on decode from the stored hash seed. The re-encode is
-  // still byte-identical because the pools, not the indexes, are stored.
-  const Graph g = test_graph(6, 250);
-  RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
-  opt.flat_lookup = FlatLookup::kFKS;
-  const SchemePackagePtr pkg = build(g, opt);
-  const std::string bytes = persist::encode_package(*pkg, 2);
-  const SchemePackagePtr rt = persist::decode_package(bytes, opt);
-  ASSERT_NE(rt, nullptr);
-  EXPECT_TRUE(persist::encode_package(*rt, 2) == bytes);
-}
-
 // The flat TZ pools are not stored: decode compiles them from the decoded
 // TZ section. They must be exactly the pools a fresh build compiles —
-// same size, same answers — for both schemes and both lookup layouts.
-class RecoveredFlatPools
-    : public ::testing::TestWithParam<std::tuple<SchemeKind, FlatLookup>> {};
+// same size, same answers — for both TZ schemes.
+class RecoveredFlatPools : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(RecoveredFlatPools, EqualAFreshCompile) {
   const Graph g = test_graph(25, 250);
-  RouteServiceOptions opt = base_options(std::get<0>(GetParam()));
-  opt.flat_lookup = std::get<1>(GetParam());
+  const RouteServiceOptions opt = base_options(GetParam());
   const SchemePackagePtr pkg = build(g, opt);
   const SchemePackagePtr rt =
       persist::decode_package(persist::encode_package(*pkg, 1), opt);
   ASSERT_NE(rt->flat, nullptr);
-  EXPECT_EQ(rt->flat->lookup_kind(), opt.flat_lookup);
   EXPECT_EQ(rt->flat->pool_bytes(), pkg->flat->pool_bytes());
   EXPECT_EQ(rt->flat_stats.pool_bytes, pkg->flat_stats.pool_bytes);
 
@@ -211,12 +167,9 @@ TEST_P(RecoveredFlatPools, EqualAFreshCompile) {
                       fresh.route_collect(queries), "recovered vs fresh");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    TZKindsAndLookups, RecoveredFlatPools,
-    ::testing::Combine(::testing::Values(SchemeKind::kTZDirect,
-                                         SchemeKind::kTZHandshake),
-                       ::testing::Values(FlatLookup::kEytzinger,
-                                         FlatLookup::kFKS)));
+INSTANTIATE_TEST_SUITE_P(TZKinds, RecoveredFlatPools,
+                         ::testing::Values(SchemeKind::kTZDirect,
+                                           SchemeKind::kTZHandshake));
 
 // --- corruption matrix ---------------------------------------------------
 
@@ -465,27 +418,46 @@ TEST(ArtifactStore, VertexCountMismatchIsRejectedWithReason) {
       << rec.rejected[0];
 }
 
-TEST(ArtifactStore, FormatOneArtifactIsRejectedAsVersionSkew) {
-  // Format 1 also stored the flat TZ pools. A store holding one must
-  // reject it at the header with the reason recorded, so the service
-  // falls back to a fresh build.
-  const std::string dir = scratch_dir("store_format1");
+TEST(ArtifactStore, OlderFormatArtifactsAreRejectedAsVersionSkew) {
+  // Format 1 also stored the flat TZ pools; formats 1 and 2 carried the
+  // serving-path and lookup-layout bytes of the deleted legacy path and
+  // FKS layout. A store holding either must reject it at the header with
+  // the reason recorded, and the service must fall back to a fresh build
+  // that says why.
   const Graph g = test_graph(26, 150);
-  const RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
-  persist::ArtifactStore store({dir, 2});
-  const persist::PublishResult pub = store.publish_generation(*build(g, opt));
-  ASSERT_TRUE(pub.ok) << pub.error;
-  {  // the format version follows the 8-byte magic
-    std::fstream f(pub.path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(8);
-    f.put('\x01');
+  RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
+  for (const char version : {'\x01', '\x02'}) {
+    const std::string dir = scratch_dir("store_old_format");
+    persist::ArtifactStore store({dir, 2});
+    const persist::PublishResult pub =
+        store.publish_generation(*build(g, opt));
+    ASSERT_TRUE(pub.ok) << pub.error;
+    {  // the format version follows the 8-byte magic
+      std::fstream f(pub.path,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(8);
+      f.put(version);
+    }
+    const std::string reason =
+        "format version " + std::to_string(static_cast<int>(version));
+    const persist::RecoverResult rec =
+        store.recover_newest(opt, g.num_vertices());
+    EXPECT_EQ(rec.package, nullptr);
+    ASSERT_EQ(rec.rejected.size(), 1u);
+    EXPECT_NE(rec.rejected[0].find(reason), std::string::npos)
+        << rec.rejected[0];
+
+    opt.persist.dir = dir;
+    RouteService svc(g, opt);
+    opt.persist.dir.clear();
+    EXPECT_FALSE(svc.recovered_from_artifact());
+    EXPECT_NE(svc.recovery_note().find(reason), std::string::npos)
+        << svc.recovery_note();
+    RouteService fresh(g, opt);
+    const std::vector<RouteQuery> queries = probe_queries(g, 400);
+    expect_same_answers(svc.route_collect(queries),
+                        fresh.route_collect(queries), "fallback vs fresh");
   }
-  const persist::RecoverResult rec =
-      store.recover_newest(opt, g.num_vertices());
-  EXPECT_EQ(rec.package, nullptr);
-  ASSERT_EQ(rec.rejected.size(), 1u);
-  EXPECT_NE(rec.rejected[0].find("format version 1"), std::string::npos)
-      << rec.rejected[0];
 }
 
 TEST(ArtifactStore, MalformedFaultEnvThrowsAtConstruction) {
@@ -511,7 +483,7 @@ TEST_P(PersistLifecycle, RecoveredServiceAnswersIdentically) {
 
   RouteService first(g, opt);  // fresh build; persists generation 1
   EXPECT_FALSE(first.recovered_from_artifact());
-  EXPECT_EQ(first.telemetry().artifacts_persisted, 1u);
+  EXPECT_EQ(first.snapshot().artifacts_persisted, 1u);
 
   RouteService second(g, opt);  // must recover, not rebuild
   EXPECT_TRUE(second.recovered_from_artifact()) << second.recovery_note();
@@ -541,14 +513,17 @@ TEST(PersistLifecycle, CorruptStoreDegradesToFreshBuildWithReason) {
   opt.persist.dir = dir;
   { RouteService seed_store(g, opt); }  // persists generation 1
   // Rot every artifact: recovery must fall back to preprocessing and say
-  // why, and the service must still serve correctly.
+  // why, and the service must still serve correctly. The byte is
+  // inverted, not overwritten, so the rot lands whatever the layout puts
+  // at that offset.
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() != ".art") continue;
     std::fstream f(entry.path(), std::ios::in | std::ios::out |
                                      std::ios::binary);
+    f.seekg(100);
+    const char byte = static_cast<char>(f.get());
     f.seekp(100);
-    f.put('\x00');
-    f.put('\x00');
+    f.put(static_cast<char>(~byte));
   }
   RouteService svc(g, opt);
   EXPECT_FALSE(svc.recovered_from_artifact());
@@ -571,7 +546,7 @@ TEST(PersistLifecycle, RebuildPersistsNextGenerationInBackground) {
   Rng rng(5);
   manager.rebuild_async(perturb_graph(g, rng));
   manager.wait();
-  EXPECT_EQ(svc.telemetry().artifacts_persisted, 2u);
+  EXPECT_EQ(svc.snapshot().artifacts_persisted, 2u);
   // The new generation is on disk and recovers for the NEW topology.
   persist::ArtifactStore store({dir, 2});
   EXPECT_EQ(store.newest_generation(), 2u);
@@ -590,7 +565,7 @@ TEST(PersistLifecycle, RebuildRetriesWithBackoffThenSurfaces) {
   b.add_edge(3, 4).add_edge(4, 5);
   manager.rebuild_async(b.build());
   EXPECT_THROW(manager.wait(), std::invalid_argument);
-  EXPECT_EQ(svc.telemetry().rebuild_retries, 2u);
+  EXPECT_EQ(svc.snapshot().rebuild_retries, 2u);
   // The service still serves the original generation.
   const std::vector<RouteQuery> queries = probe_queries(g, 200);
   EXPECT_EQ(svc.route_collect(queries).size(), queries.size());
@@ -620,7 +595,7 @@ TEST(PersistLifecycle, PersistFailureIsCountedNotFatal) {
   svc.artifact_store()->fault_injector().arm(
       {persist::FaultAction::kEnospc, persist::FaultOp::kWrite, 1});
   EXPECT_FALSE(svc.persist_current());
-  const ServiceTelemetry tel = svc.telemetry();
+  const ServiceTelemetry tel = svc.snapshot();
   EXPECT_EQ(tel.artifacts_persisted, 1u);  // the construction-time persist
   EXPECT_EQ(tel.persist_failures, 1u);
   // Serving is untouched.

@@ -16,10 +16,10 @@
 
 #include "core/scheme_io.hpp"
 #include "graph/dijkstra.hpp"
+#include "reference_walk.hpp"
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
-#include "sim/simulator.hpp"
 #include "util/parallel.hpp"
 
 namespace croute {
@@ -141,60 +141,21 @@ RouteServiceOptions service_options(SchemeKind kind, unsigned threads,
   return opt;
 }
 
-// Every answer must equal the direct sim/ adapter call for the same
-// scheme instance (same preprocessing seed).
+// Every answer must equal the sim/ reference walk over the same
+// preprocessing (same seed).
 TEST(RouteService, MatchesSingleThreadedSimAdapters) {
   const ServiceFixture fx;
-  const SimOptions sim_opt{0, true};
-  const Simulator sim(fx.g, sim_opt);
-
+  const std::vector<RouteQuery> queries = fx.queries();
   for (const SchemeKind kind :
        {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
         SchemeKind::kFullTable}) {
-    RouteService service(fx.g, service_options(kind, 4));
-    const std::vector<RouteAnswer> answers =
-        service.route_collect(fx.queries());
-
-    // Rebuild the identical scheme the service preprocessed.
-    Rng rng(99);
-    std::unique_ptr<TZScheme> tz;
-    std::unique_ptr<CowenScheme> cowen;
-    std::unique_ptr<FullTableScheme> full;
-    if (kind == SchemeKind::kTZDirect || kind == SchemeKind::kTZHandshake) {
-      TZSchemeOptions topt;
-      topt.pre.k = 3;
-      tz = std::make_unique<TZScheme>(fx.g, topt, rng);
-    } else if (kind == SchemeKind::kCowen) {
-      cowen = std::make_unique<CowenScheme>(fx.g, rng);
-    } else {
-      full = std::make_unique<FullTableScheme>(fx.g);
-    }
-
-    for (std::size_t i = 0; i < fx.pairs.size(); ++i) {
-      const auto& p = fx.pairs[i];
-      RouteResult ref;
-      switch (kind) {
-        case SchemeKind::kTZDirect:
-          ref = route_tz(sim, *tz, p.s, p.t);
-          break;
-        case SchemeKind::kTZHandshake:
-          ref = route_tz_handshake(sim, *tz, p.s, p.t);
-          break;
-        case SchemeKind::kCowen:
-          ref = route_cowen(sim, *cowen, p.s, p.t);
-          break;
-        case SchemeKind::kFullTable:
-          ref = route_full(sim, *full, p.s, p.t);
-          break;
-      }
-      ASSERT_EQ(answers[i].status, ref.status)
+    const RouteServiceOptions opt = service_options(kind, 4);
+    RouteService service(fx.g, opt);
+    const std::vector<RouteAnswer> answers = service.route_collect(queries);
+    const ReferenceWalk ref = reference_walk(fx.g, opt, queries);
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      ASSERT_TRUE(same_route(answers[i], ref.answers[i]))
           << scheme_name(kind) << " pair " << i;
-      EXPECT_EQ(answers[i].length, ref.length);
-      EXPECT_EQ(answers[i].hops, ref.hops);
-      EXPECT_EQ(answers[i].header_bits, ref.header_bits);
-      EXPECT_EQ(std::vector<VertexId>(answers[i].path.begin(),
-                                      answers[i].path.end()),
-                ref.path);
       EXPECT_TRUE(answers[i].delivered());
     }
   }
@@ -279,7 +240,7 @@ TEST(RouteService, TelemetryCountsServedQueries) {
   const std::vector<RouteQuery> queries = fx.queries();
   service.route_collect(queries);
   service.route_collect(queries);
-  const ServiceTelemetry tel = service.telemetry();
+  const ServiceTelemetry tel = service.snapshot();
   EXPECT_EQ(tel.queries, 2 * queries.size());
   EXPECT_EQ(tel.delivered, 2 * queries.size());
   EXPECT_EQ(tel.batches, 2u);
@@ -414,20 +375,20 @@ TEST(Workload, AttachExactTreatsZeroAndKnownAsSolved) {
 
 TEST(RouteService, SelfQueriesHaveDefinedAnswers) {
   // s == t must be delivered with 0 hops, 0 length, 0 header bits and
-  // stretch exactly 1 — on both serving paths, in batches and route_one,
+  // stretch exactly 1 — in batches and route_one, for every scheme kind,
   // and the generators' sentinel must never make stretch read as 0.
   const ServiceFixture fx;
-  for (const bool use_flat : {true, false}) {
-    RouteServiceOptions opt = service_options(SchemeKind::kTZDirect, 3);
-    opt.use_flat = use_flat;
-    RouteService service(fx.g, opt);
+  for (const SchemeKind kind :
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
+        SchemeKind::kFullTable}) {
+    RouteService service(fx.g, service_options(kind, 3));
     std::vector<RouteQuery> queries;
     queries.push_back({4, 4, 0});
     queries.push_back({fx.pairs[0].s, fx.pairs[0].t, fx.pairs[0].exact});
     queries.push_back({9, 9, kUnknownDistance});
     const std::vector<RouteAnswer> answers = service.route_collect(queries);
     for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-      EXPECT_TRUE(answers[i].delivered()) << "flat=" << use_flat;
+      EXPECT_TRUE(answers[i].delivered()) << scheme_name(kind);
       EXPECT_EQ(answers[i].hops, 0u);
       EXPECT_EQ(answers[i].length, 0.0);
       EXPECT_EQ(answers[i].header_bits, 0u);
@@ -449,10 +410,10 @@ TEST(RouteService, RouteOneLandsInTelemetry) {
                                              /*record_paths=*/false));
   const std::vector<RouteQuery> queries = fx.queries();
   service.route_collect(queries);
-  const ServiceTelemetry before = service.telemetry();
+  const ServiceTelemetry before = service.snapshot();
   EXPECT_EQ(before.queries, queries.size());
   for (int i = 0; i < 5; ++i) service.route_one(queries[i]);
-  const ServiceTelemetry after = service.telemetry();
+  const ServiceTelemetry after = service.snapshot();
   EXPECT_EQ(after.queries, queries.size() + 5);
   EXPECT_EQ(after.delivered, queries.size() + 5);
   EXPECT_GE(after.total_hops, before.total_hops);
@@ -510,7 +471,7 @@ TEST(ServiceStress, AllSchemesManyBatchesConcurrently) {
         }
       }
     }
-    const ServiceTelemetry tel = service.telemetry();
+    const ServiceTelemetry tel = service.snapshot();
     EXPECT_EQ(tel.queries, 3 * queries.size());
   }
 }

@@ -3,14 +3,15 @@
 // Two levels:
 //  - kernel level: every compiled-in, CPU-supported implementation must
 //    return byte-identical outputs to the scalar reference
-//    (flat_detail::eytzinger_find / PerfectHashMap::value_at) on
-//    randomized probe batches — ragged counts, empty slices at pool
-//    end, missing keys, kNoSlot lanes, mixed lane retirement times;
-//  - engine level: forcing each implementation, the batch-pipelined
-//    RouteService must serve byte-identical answers (same_route: status,
-//    length, hops, header bits, stretch, path) to the scalar
-//    batch_group = 0 path — the pre-SIMD reference — for every scheme
-//    kind, both lookup layouts, and G ∈ {16, 32, 64}.
+//    (flat_detail::eytzinger_find) on randomized probe batches — ragged
+//    counts, empty slices at pool end, missing keys, mixed lane
+//    retirement times;
+//  - engine level (the one oracle): forcing each implementation,
+//    RouteService::route must serve byte-identical answers (same_route:
+//    status, length, hops, header bits, stretch, path) to the paper's
+//    sim/ reference walk for every scheme kind, G ∈ {16, 32, 64} and
+//    threads ∈ {1, 4}; route_one's scalar walk is held to the same
+//    reference once per kind.
 //
 // Plus the dispatcher contract: name round-trips, generic always
 // available, force() refusing unavailable ISAs.
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "core/flat_scheme.hpp"
-#include "hash/perfect_hash.hpp"
+#include "reference_walk.hpp"
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
@@ -49,13 +50,14 @@ struct IsaGuard {
 };
 
 TEST(SimdDispatch, NamesRoundTripAndGenericAlwaysUsable) {
-  for (const simd::Isa isa : {simd::Isa::kGeneric, simd::Isa::kSSE42,
-                              simd::Isa::kAVX2, simd::Isa::kNEON}) {
+  for (const simd::Isa isa :
+       {simd::Isa::kGeneric, simd::Isa::kAVX2, simd::Isa::kNEON}) {
     const auto parsed = simd::isa_from_name(simd::isa_name(isa));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, isa);
   }
   EXPECT_FALSE(simd::isa_from_name("avx512").has_value());
+  EXPECT_FALSE(simd::isa_from_name("sse42").has_value());
   EXPECT_FALSE(simd::isa_from_name("").has_value());
   EXPECT_FALSE(simd::isa_from_name("GENERIC").has_value());
 
@@ -69,17 +71,14 @@ TEST(SimdDispatch, NamesRoundTripAndGenericAlwaysUsable) {
   EXPECT_EQ(simd::selected(), simd::Isa::kGeneric);
   // Forcing an unavailable implementation fails and leaves the selection
   // untouched.
-  for (const simd::Isa isa : {simd::Isa::kSSE42, simd::Isa::kAVX2,
-                              simd::Isa::kNEON}) {
+  for (const simd::Isa isa : {simd::Isa::kAVX2, simd::Isa::kNEON}) {
     if (!simd::available(isa)) {
       EXPECT_FALSE(simd::force(isa));
       EXPECT_EQ(simd::selected(), simd::Isa::kGeneric);
     }
   }
-  // The selected table always carries both kernels.
-  const simd::Ops& ops = simd::ops();
-  EXPECT_NE(ops.eytzinger_batch, nullptr);
-  EXPECT_NE(ops.fks_value_batch, nullptr);
+  // The selected table always carries the kernel.
+  EXPECT_NE(simd::ops().eytzinger_batch, nullptr);
 }
 
 // Randomized slice batches: every ISA's eytzinger_batch must equal the
@@ -137,60 +136,12 @@ TEST(SimdKernels, EytzingerBatchMatchesScalarOnEveryIsa) {
   }
 }
 
-// fks_value_batch must equal value_at over a real FKS map: hits, missing
-// keys sharing a located slot, and kNoSlot lanes.
-TEST(SimdKernels, FksValueBatchMatchesValueAtOnEveryIsa) {
-  Rng rng(99);
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    entries.emplace_back(mix64(0xABCD + i),
-                         static_cast<std::uint32_t>(rng.next_below(1u << 30)));
-  }
-  Rng hrng(7);
-  const PerfectHashMap map = PerfectHashMap::build(entries, hrng);
-
-  std::vector<std::uint64_t> slots, want;
-  std::vector<std::uint32_t> expect;
-  const auto push = [&](std::uint64_t slot, std::uint64_t key) {
-    slots.push_back(slot);
-    want.push_back(key);
-    const auto v = map.value_at(slot, key);
-    expect.push_back(v ? *v : simd::kNotFound);
-  };
-  for (const auto& [key, value] : entries) {
-    push(map.locate_slot(key), key);  // hit
-  }
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    const std::uint64_t absent = mix64(0xF00D + i) | 1;
-    push(map.locate_slot(absent), absent);  // usually a slot, wrong key
-  }
-  for (std::uint32_t i = 0; i < 9; ++i) {
-    push(PerfectHashMap::kNoSlot, mix64(i));  // no slot at all
-  }
-
-  const auto count = static_cast<std::uint32_t>(slots.size());
-  IsaGuard guard;
-  for (const simd::Isa isa : usable_isas()) {
-    const char* name = simd::isa_name(isa);
-    ASSERT_TRUE(simd::force(isa)) << name;
-    for (const std::uint32_t sub : {0u, 1u, 2u, 3u, 5u, 8u, count}) {
-      std::vector<std::uint32_t> out(sub, 0xDEAD);
-      simd::ops().fks_value_batch(map.slot_keys(), map.slot_values(),
-                                  slots.data(), want.data(), out.data(), sub);
-      for (std::uint32_t l = 0; l < sub; ++l) {
-        ASSERT_EQ(out[l], expect[l])
-            << name << " lane " << l << " of " << sub;
-      }
-    }
-  }
-}
-
-// The full serving matrix: forced ISA × scheme kind × lookup layout ×
-// batch group, all compared against the scalar (batch_group = 0,
-// kernel-free) path. One batched service per (kind, layout, G) is reused
-// across ISAs — the engine re-reads simd::ops() per probe round, so a
-// force takes effect on the next batch.
-TEST(SimdEngine, CrossIsaRoutesAreByteIdentical) {
+// The one oracle, on the path that serves traffic: forced ISA × scheme
+// kind × batch group × thread count, every RouteService::route answer
+// compared against the sim/ reference walk. One service per (kind, G,
+// threads) is reused across ISAs — the engine re-reads simd::ops() per
+// probe round, so a force takes effect on the next batch.
+TEST(SimdEngine, RoutesMatchReferenceWalkOnEveryIsa) {
   Rng grng(171);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 220, grng);
   Rng prng(172);
@@ -207,56 +158,63 @@ TEST(SimdEngine, CrossIsaRoutesAreByteIdentical) {
   for (const SchemeKind kind :
        {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
         SchemeKind::kFullTable}) {
-    for (const FlatLookup layout :
-         {FlatLookup::kEytzinger, FlatLookup::kFKS}) {
-      RouteServiceOptions scalar_opt;
-      scalar_opt.scheme = kind;
-      scalar_opt.threads = 2;
-      scalar_opt.k = 3;
-      scalar_opt.seed = 173;
-      scalar_opt.record_paths = true;
-      scalar_opt.flat_lookup = layout;
-      scalar_opt.batch_group = 0;  // the kernel-free scalar reference
-      RouteService scalar(g, scalar_opt);
-      const std::vector<RouteAnswer> reference = scalar.route_collect(queries);
-
-      for (const std::uint32_t group : {16u, 32u, 64u}) {
-        RouteServiceOptions opt = scalar_opt;
+    RouteServiceOptions opt;
+    opt.scheme = kind;
+    opt.k = 3;
+    opt.seed = 173;
+    opt.record_paths = true;
+    const ReferenceWalk ref = reference_walk(g, opt, queries);
+    {
+      // route_one keeps its own scalar walk, which depends on neither
+      // the ISA nor G: once per kind covers it.
+      const RouteService service(g, opt);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_TRUE(same_route(ref.answers[i], service.route_one(queries[i])))
+            << scheme_name(kind) << " route_one diverges at query " << i;
+      }
+    }
+    for (const std::uint32_t group : {16u, 32u, 64u}) {
+      for (const unsigned threads : {1u, 4u}) {
         opt.batch_group = group;
-        RouteService batched(g, opt);
+        opt.threads = threads;
+        RouteService service(g, opt);
         for (const simd::Isa isa : isas) {
           ASSERT_TRUE(simd::force(isa));
           const std::vector<RouteAnswer> answers =
-              batched.route_collect(queries);
-          ASSERT_EQ(answers.size(), reference.size());
+              service.route_collect(queries);
+          ASSERT_EQ(answers.size(), ref.answers.size());
           for (std::size_t i = 0; i < answers.size(); ++i) {
-            ASSERT_TRUE(same_route(reference[i], answers[i]))
-                << scheme_name(kind) << "/" << flat_lookup_name(layout)
-                << " G=" << group << " isa=" << simd::isa_name(isa)
+            ASSERT_TRUE(same_route(ref.answers[i], answers[i]))
+                << scheme_name(kind) << " G=" << group
+                << " threads=" << threads << " isa=" << simd::isa_name(isa)
                 << " diverges at query " << i;
           }
         }
-      }
-      // Layouts only reach the TZ probes; one layout pass covers the
-      // baselines.
-      if (kind == SchemeKind::kCowen || kind == SchemeKind::kFullTable) {
-        break;
       }
     }
   }
 }
 
-// Non-power-of-two pipeline groups must be rejected up front with a
-// clear error (the sweep grid and the CLI flags promise powers of two).
+// Non-power-of-two pipeline groups, 0 included, must be rejected up
+// front with a clear error, by the service and by the package builder
+// alike (the sweep grid and the CLI flags promise powers of two).
 TEST(SimdEngine, ServiceRejectsNonPowerOfTwoBatchGroup) {
   Rng grng(11);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 40, grng);
+  const auto graph = std::make_shared<const Graph>(g);
   RouteServiceOptions opt;
   opt.threads = 1;
   opt.seed = 12;
-  opt.batch_group = 24;
-  EXPECT_THROW(RouteService(g, opt), std::invalid_argument);
-  opt.batch_group = 0;  // scalar path stays allowed
+  for (const std::uint32_t bad : {24u, 0u}) {
+    opt.batch_group = bad;
+    EXPECT_THROW(RouteService(g, opt), std::invalid_argument) << bad;
+    EXPECT_THROW(build_scheme_package(graph, opt), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(build_scheme_package_incremental(nullptr, graph, opt),
+                 std::invalid_argument)
+        << bad;
+  }
+  opt.batch_group = 1;  // 2^0: one lane, still the engine
   EXPECT_NO_THROW(RouteService(g, opt));
 }
 
