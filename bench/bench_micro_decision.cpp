@@ -204,7 +204,7 @@ int main(int argc, char** argv) try {
   // scalar vs batch-pipelined. Per-hop decisions are load-dependent
   // within one query, so this is where interleaving G queries' descents
   // actually buys memory-level parallelism. ---------------------------------
-  const std::uint32_t max_hops = 4 * n + 16;
+  const std::uint32_t max_hops = default_hop_budget(g);
   double route_decisions = 1;  // avg per-hop decisions per routed query
   const auto measure_route_scalar = [&](const FlatRouter& r) {
     const std::uint64_t rounds =

@@ -10,16 +10,18 @@
 /// ```
 /// ./route_service --scheme=tz --workload=hotspot --threads=4 --seed=7
 /// ./route_service --family=ba --n=20000 --scheme=cowen --workload=gravity
-/// ./route_service --graph=g.gr --warm=scheme.bin --workload=far
+/// ./route_service --graph=g.gr --artifact-dir=art --workload=far
 /// ./route_service --workload=hotspot --churn=3     # hot-swap under load
 /// ./route_service --listen --port=4800             # network serving
 /// ```
 ///
 /// Shared flags (parsed by service/cli.hpp, used by every serving
 /// binary): --graph | --family --n [--weighted]  --scheme --k --sampling
-/// --seed --threads --batch-group --warm --artifact-dir --artifact-retain
+/// --seed --threads --batch-group --artifact-dir --artifact-retain
 /// --rebuild-retries [--no-metrics] --workload --queries --batch
-/// --source-pool [--exact]
+/// --source-pool [--exact]. --artifact-dir is how the service starts
+/// from disk: the first run persists its generation there, later runs
+/// with the same construction flags recover it.
 ///
 /// Binary-specific flags:
 /// --churn=C (run the closed loop under C background rebuild+swap
@@ -102,12 +104,9 @@ int main(int argc, char** argv) {
     std::printf("graph: n=%u m=%llu\n", g.num_vertices(),
                 static_cast<unsigned long long>(g.num_edges()));
     RouteService service(g, opt);
-    std::printf("service: scheme=%s threads=%u batch-group=%u simd=%s%s\n",
+    std::printf("service: scheme=%s threads=%u batch-group=%u simd=%s\n",
                 scheme_name(opt.scheme), service.threads(), opt.batch_group,
-                simd::ops().name,
-                opt.warm_start_path.empty()
-                    ? ""
-                    : (" (warm start: " + opt.warm_start_path + ")").c_str());
+                simd::ops().name);
     if (!opt.persist.dir.empty()) {
       if (service.recovered_from_artifact()) {
         std::printf("persist: recovered generation %llu from %s (%s)\n",
@@ -129,7 +128,6 @@ int main(int argc, char** argv) {
       // mismatched artifact slipped past verification — fail loudly.
       RouteServiceOptions fresh_opt = opt;
       fresh_opt.persist.dir.clear();
-      fresh_opt.warm_start_path.clear();
       const RouteService fresh(service.graph(), fresh_opt);
       Rng prng(setup.seed + 4);
       const VertexId n = service.graph().num_vertices();

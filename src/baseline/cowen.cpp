@@ -145,7 +145,7 @@ CowenScheme::CowenScheme(const Graph& g, Rng& rng, const Options& options)
   const VertexId per_block = (n_ + blocks - 1) / blocks;
   parallel_for(blocks, [&](std::uint64_t blk) {
     RestrictedDijkstra rd(g);
-    std::vector<Port> first_port(n_, kNoPort);  // scratch, per block
+    std::vector<Port> first_hop(n_, kNoPort);  // scratch, per block
     const VertexId lo = static_cast<VertexId>(blk * per_block);
     const VertexId hi =
         std::min<VertexId>(n_, static_cast<VertexId>((blk + 1) * per_block));
@@ -159,9 +159,9 @@ CowenScheme::CowenScheme(const Graph& g, Rng& rng, const Options& options)
       out.reserve(run.size() > 0 ? run.size() - 1 : 0);
       for (const ClusterVertex& cv : run) {
         if (cv.v == v) continue;
-        first_port[cv.v] =
-            cv.parent == v ? cv.down_port : first_port[cv.parent];
-        out.push_back({cv.v, first_port[cv.v]});
+        first_hop[cv.v] =
+            cv.parent == v ? cv.down_port : first_hop[cv.parent];
+        out.push_back({cv.v, first_hop[cv.v]});
       }
     }
   });

@@ -13,7 +13,7 @@ FullTableScheme::FullTableScheme(const Graph& g)
     const VertexId s = static_cast<VertexId>(src);
     const ShortestPathTree spt = dijkstra(*g_, s);
     Port* row = hops_.data() + std::size_t{s} * n_;
-    // first_port[t]: the port at s of the first edge on the s→t path.
+    // row[t]: the port at s of the first edge on the s→t path.
     // Memoized walk up the parent chain; parents settle before children,
     // but iteration order is arbitrary so we resolve chains explicitly.
     std::vector<VertexId> chain;

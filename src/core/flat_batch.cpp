@@ -6,11 +6,6 @@ namespace croute {
 
 namespace {
 
-/// The serving hop budget (same bound RouteService::serve uses).
-CROUTE_HOT std::uint32_t default_max_hops(const Graph& g) noexcept {
-  return 4 * g.num_vertices() + 16;
-}
-
 /// Appends one vertex to a lane's path buffer (diagnostic mode only).
 CROUTE_HOT inline void path_append(std::vector<VertexId>* path, VertexId v) {
   if (path == nullptr) return;
@@ -21,19 +16,6 @@ CROUTE_HOT inline void path_append(std::vector<VertexId>* path, VertexId v) {
 }
 
 }  // namespace
-
-CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
-                            std::span<const FlatBatchQuery> queries,
-                            std::span<FlatBatchAnswer> answers,
-                            std::vector<VertexId>* path_arena) {
-  run(target, queries, answers, path_arena, /*decisions_only=*/false);
-}
-
-CROUTE_HOT void FlatBatchEngine::decide(const FlatBatchTarget& target,
-                             std::span<const FlatBatchQuery> queries,
-                             std::span<FlatBatchAnswer> answers) {
-  run(target, queries, answers, nullptr, /*decisions_only=*/true);
-}
 
 void FlatBatchEngine::ensure_scratch(bool want_paths) {
   lanes_.resize(group_);
@@ -63,11 +45,10 @@ CROUTE_HOT void FlatBatchEngine::finish(Lane& lane, FlatBatchAnswer& answer,
   }
 }
 
-CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
-                          std::span<const FlatBatchQuery> queries,
-                          std::span<FlatBatchAnswer> answers,
-                          std::vector<VertexId>* path_arena,
-                          bool decisions_only) {
+CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
+                                       std::span<const FlatBatchQuery> queries,
+                                       std::span<FlatBatchAnswer> answers,
+                                       std::vector<VertexId>* path_arena) {
   CROUTE_REQUIRE(queries.size() == answers.size(),
                  "answers must be pre-sized to the query count");
   CROUTE_REQUIRE(target.graph != nullptr, "batch target needs a graph");
@@ -86,18 +67,10 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
                      "full-table batch target needs the pooled view");
       break;
   }
-  if (target.kind == FlatServeKind::kTZDirect &&
-      target.policy == RoutingPolicy::kMinEstimate) {
-    CROUTE_REQUIRE(target.flat->base().options().labels_carry_distances,
-                   "kMinEstimate needs labels built with "
-                   "labels_carry_distances");
-  }
   if (queries.empty()) return;
 
-  const std::uint32_t max_hops = target.max_hops != 0
-                                     ? target.max_hops
-                                     : default_max_hops(*target.graph);
   const Graph& g = *target.graph;
+  const std::uint32_t max_hops = default_hop_budget(g);
   CROUTE_LINT_SUPPRESS(hot_path,
                        "scratch warmup: every resize is a no-op once the "
                        "engine has served its first batch");
@@ -128,11 +101,7 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
       if (q.s == q.t) {
         // Self-query: the packet never leaves the source — delivered, 0
         // hops, 0 header bits (same defined answer as route_one's walk).
-        FlatBatchAnswer& a = answers[lane.qi];
-        a.tree_root = kNoVertex;
-        a.first_deliver = true;
-        a.first_port = kNoPort;
-        finish(lane, a, RouteStatus::kDelivered, path_arena);
+        finish(lane, answers[lane.qi], RouteStatus::kDelivered, path_arena);
         continue;
       }
       switch (target.kind) {
@@ -140,16 +109,12 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
           CROUTE_REQUIRE(!q.label.empty(), "malformed destination label");
           lane.lab_it = q.label.data();
           lane.lab_end = q.label.data() + q.label.size();
-          lane.lab_best = nullptr;
           lane.lab_pool = q.light_pool != nullptr
                               ? q.light_pool
                               : target.flat->label_light_pool();
-          lane.best_est = kInfiniteWeight;
           CROUTE_PREFETCH(lane.lab_it);
-          if (target.policy != RoutingPolicy::kLabelOnly) {
-            lane.probe = FlatScheme::FindProbe{q.s, q.t};
-            target.flat->dir_find_stage0(lane.probe);
-          }
+          lane.probe = FlatScheme::FindProbe{q.s, q.t};
+          target.flat->dir_find_stage0(lane.probe);
           break;
         case FlatServeKind::kTZHandshake:
           lane.hs_u = q.s;
@@ -175,18 +140,18 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
 
     switch (target.kind) {
       case FlatServeKind::kTZDirect:
-        prepare_tz_direct(target, answers);
-        walk_tz(target, answers, path_arena, decisions_only, max_hops);
+        prepare_tz_direct(target);
+        walk_tz(target, answers, path_arena, max_hops);
         break;
       case FlatServeKind::kTZHandshake:
         prepare_tz_handshake(target);
-        walk_tz(target, answers, path_arena, decisions_only, max_hops);
+        walk_tz(target, answers, path_arena, max_hops);
         break;
       case FlatServeKind::kCowen:
-        walk_cowen(target, answers, path_arena, decisions_only, max_hops);
+        walk_cowen(target, answers, path_arena, max_hops);
         break;
       case FlatServeKind::kFullTable:
-        walk_full(target, answers, path_arena, decisions_only, max_hops);
+        walk_full(target, answers, path_arena, max_hops);
         break;
     }
 
@@ -219,44 +184,41 @@ CROUTE_HOT void FlatBatchEngine::run(const FlatBatchTarget& target,
 }
 
 CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
-    const FlatBatchTarget& target, std::span<FlatBatchAnswer> answers) {
-  (void)answers;
+    const FlatBatchTarget& target) {
   const FlatScheme* f = target.flat;
   // Rule 0, lockstep: every lane probes its source's cluster directory
   // (stage0 prefetches were issued at lane init); the compacted probes
   // resolve in one SIMD kernel call.
-  if (target.policy != RoutingPolicy::kLabelOnly) {
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      f->dir_find_stage1(lanes_[live_[pos]].probe);
-    }
-    batch_.clear();
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      const FlatScheme::FindProbe& p = lanes_[live_[pos]].probe;
-      batch_.push_slice(p.off, p.len, p.w);
-    }
-    f->dir_find_stage2_batch(batch_);
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      Lane& lane = lanes_[live_[pos]];
-      lane.pool_idx = batch_.out[pos];
-      if (lane.pool_idx != FlatScheme::kNotFound) {
-        f->prefetch_dir_payload(lane.pool_idx);
-      }
-    }
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      Lane& lane = lanes_[live_[pos]];
-      if (lane.pool_idx == FlatScheme::kNotFound) continue;
-      const std::span<const Port> ports = f->dir_light_ports(lane.pool_idx);
-      lane.root = lane.s;
-      lane.dfs_in = f->dir_dfs(lane.pool_idx);
-      lane.light = ports.data();
-      lane.light_len = static_cast<std::uint32_t>(ports.size());
-      lane.bits = f->header_bits_for(lane.light_len);
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    f->dir_find_stage1(lanes_[live_[pos]].probe);
+  }
+  batch_.clear();
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    const FlatScheme::FindProbe& p = lanes_[live_[pos]].probe;
+    batch_.push_slice(p.off, p.len, p.w);
+  }
+  f->dir_find_stage2_batch(batch_);
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    Lane& lane = lanes_[live_[pos]];
+    lane.pool_idx = batch_.out[pos];
+    if (lane.pool_idx != FlatScheme::kNotFound) {
+      f->prefetch_dir_payload(lane.pool_idx);
     }
   }
-  // Label pivot scan for the rule-0 misses, lockstep over entries: each
-  // round probes every unresolved lane's current entry (three loops =
-  // the three find stages, so lane A's slice prefetch flies while lanes
-  // B…G descend).
+  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
+    Lane& lane = lanes_[live_[pos]];
+    if (lane.pool_idx == FlatScheme::kNotFound) continue;
+    const std::span<const Port> ports = f->dir_light_ports(lane.pool_idx);
+    lane.root = lane.s;
+    lane.dfs_in = f->dir_dfs(lane.pool_idx);
+    lane.light = ports.data();
+    lane.light_len = static_cast<std::uint32_t>(ports.size());
+    lane.bits = f->header_bits_for(lane.light_len);
+  }
+  // Min-level label scan for the rule-0 misses, lockstep over entries:
+  // each round probes every unresolved lane's current entry (three loops
+  // = the three find stages, so lane A's slice prefetch flies while lanes
+  // B…G descend); the first entry whose pivot is in B(s) wins.
   scan_count_ = 0;
   for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
     Lane& lane = lanes_[live_[pos]];
@@ -278,39 +240,18 @@ CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
     scan_next_count_ = 0;
     for (std::uint32_t i = 0; i < scan_count_; ++i) {
       Lane& lane = lanes_[scan_[i]];
-      const std::uint32_t idx = batch_.out[i];
-      const FlatScheme::LabelEntryView* chosen = nullptr;
-      if (target.policy != RoutingPolicy::kMinEstimate) {
-        if (idx != FlatScheme::kNotFound) {
-          chosen = lane.lab_it;
-        } else {
-          ++lane.lab_it;
-          CROUTE_ASSERT(lane.lab_it != lane.lab_end,
-                        "no candidate pivot found: top-level landmark "
-                        "missing from the source bunch");
-        }
-      } else {
-        if (idx != FlatScheme::kNotFound) {
-          const Weight estimate = f->dist(idx) + lane.lab_it->dist;
-          if (estimate < lane.best_est) {
-            lane.best_est = estimate;
-            lane.lab_best = lane.lab_it;
-          }
-        }
+      if (batch_.out[i] == FlatScheme::kNotFound) {
+        // The scan continues with the next entry.
         ++lane.lab_it;
-        if (lane.lab_it == lane.lab_end) {
-          CROUTE_ASSERT(lane.lab_best != nullptr,
-                        "no candidate pivot found: top-level landmark "
-                        "missing from the source bunch");
-          chosen = lane.lab_best;
-        }
-      }
-      if (chosen == nullptr) {  // scan continues with the next entry
+        CROUTE_ASSERT(lane.lab_it != lane.lab_end,
+                      "no candidate pivot found: top-level landmark "
+                      "missing from the source bunch");
         lane.probe = FlatScheme::FindProbe{lane.s, lane.lab_it->w};
         f->find_stage0(lane.probe);
         scan_next_[scan_next_count_++] = scan_[i];
         continue;
       }
+      const FlatScheme::LabelEntryView* chosen = lane.lab_it;
       lane.root = chosen->w;
       lane.dfs_in = chosen->dfs_in;
       lane.light = lane.lab_pool + chosen->light_off;
@@ -399,7 +340,6 @@ CROUTE_HOT void FlatBatchEngine::prepare_tz_handshake(
 CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
                                          std::span<FlatBatchAnswer> answers,
                                          std::vector<VertexId>* path_arena,
-                                         bool decisions_only,
                                          std::uint32_t max_hops) {
   const FlatScheme* f = target.flat;
   const Graph& g = *target.graph;
@@ -431,47 +371,26 @@ CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
     for (std::uint32_t pos = 0; pos < live_count_;) {
       Lane& lane = lanes_[live_[pos]];
       const TreeNodeRecord& here = f->record(lane.pool_idx);
-      if (lane.dfs_in == here.dfs_in) {
-        lane.deliver = true;
-        lane.port = kNoPort;
-      } else {
-        lane.deliver = false;
-        if (lane.dfs_in < here.dfs_in || lane.dfs_in >= here.dfs_out) {
-          CROUTE_ASSERT(here.parent_port != kNoPort,
-                        "destination outside the tree reached the root");
-          lane.port = here.parent_port;
-        } else if (lane.dfs_in >= here.heavy_in &&
-                   lane.dfs_in < here.heavy_out &&
-                   here.heavy_port != kNoPort) {
-          lane.port = here.heavy_port;
-        } else {
-          CROUTE_ASSERT(here.light_depth < lane.light_len,
-                        "label misses the light port for this branch "
-                        "point");
-          lane.port = lane.light[here.light_depth];
-        }
-      }
       FlatBatchAnswer& a = answers[lane.qi];
-      if (decisions_only) {
-        a.tree_root = lane.root;
-        a.first_deliver = lane.deliver;
-        a.first_port = lane.port;
-        finish(lane, a,
-               lane.deliver ? (lane.here == lane.t
-                                   ? RouteStatus::kDelivered
-                                   : RouteStatus::kWrongDeliver)
-                            : RouteStatus::kHopLimit,
-               path_arena);
-        retire(pos);
-        continue;
-      }
-      if (lane.deliver) {
+      if (lane.dfs_in == here.dfs_in) {
         finish(lane, a,
                lane.here == lane.t ? RouteStatus::kDelivered
                                    : RouteStatus::kWrongDeliver,
                path_arena);
         retire(pos);
         continue;
+      }
+      if (lane.dfs_in < here.dfs_in || lane.dfs_in >= here.dfs_out) {
+        CROUTE_ASSERT(here.parent_port != kNoPort,
+                      "destination outside the tree reached the root");
+        lane.port = here.parent_port;
+      } else if (lane.dfs_in >= here.heavy_in &&
+                 lane.dfs_in < here.heavy_out && here.heavy_port != kNoPort) {
+        lane.port = here.heavy_port;
+      } else {
+        CROUTE_ASSERT(here.light_depth < lane.light_len,
+                      "label misses the light port for this branch point");
+        lane.port = lane.light[here.light_depth];
       }
       if (lane.port >= g.degree(lane.here)) {
         finish(lane, a, RouteStatus::kBadPort, path_arena);
@@ -504,8 +423,7 @@ CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
 
 CROUTE_HOT void FlatBatchEngine::walk_cowen(
     const FlatBatchTarget& target, std::span<FlatBatchAnswer> answers,
-    std::vector<VertexId>* path_arena, bool decisions_only,
-    std::uint32_t max_hops) {
+    std::vector<VertexId>* path_arena, std::uint32_t max_hops) {
   const FlatCowen* c = target.cowen;
   const Graph& g = *target.graph;
   // Resolve labels (prefetched at init) and issue the first prefetches.
@@ -520,13 +438,7 @@ CROUTE_HOT void FlatBatchEngine::walk_cowen(
     for (std::uint32_t pos = 0; pos < live_count_;) {
       Lane& lane = lanes_[live_[pos]];
       if (lane.here == lane.t) {
-        FlatBatchAnswer& a = answers[lane.qi];
-        if (decisions_only) {
-          a.tree_root = kNoVertex;
-          a.first_deliver = true;
-          a.first_port = kNoPort;
-        }
-        finish(lane, a, RouteStatus::kDelivered, path_arena);
+        finish(lane, answers[lane.qi], RouteStatus::kDelivered, path_arena);
         retire(pos);
         continue;
       }
@@ -567,17 +479,8 @@ CROUTE_HOT void FlatBatchEngine::walk_cowen(
         CROUTE_ASSERT(lane.port != kNoPort,
                       "missing landmark port on a connected graph");
       }
-      FlatBatchAnswer& a = answers[lane.qi];
-      if (decisions_only) {
-        a.tree_root = kNoVertex;
-        a.first_deliver = false;
-        a.first_port = lane.port;
-        finish(lane, a, RouteStatus::kHopLimit, path_arena);
-        retire(pos);
-        continue;
-      }
       if (lane.port >= g.degree(lane.here)) {
-        finish(lane, a, RouteStatus::kBadPort, path_arena);
+        finish(lane, answers[lane.qi], RouteStatus::kBadPort, path_arena);
         retire(pos);
         continue;
       }
@@ -606,8 +509,7 @@ CROUTE_HOT void FlatBatchEngine::walk_cowen(
 
 CROUTE_HOT void FlatBatchEngine::walk_full(
     const FlatBatchTarget& target, std::span<FlatBatchAnswer> answers,
-    std::vector<VertexId>* path_arena, bool decisions_only,
-    std::uint32_t max_hops) {
+    std::vector<VertexId>* path_arena, std::uint32_t max_hops) {
   const FlatFullTable* ft = target.full;
   const Graph& g = *target.graph;
   while (live_count_ > 0) {
@@ -616,24 +518,11 @@ CROUTE_HOT void FlatBatchEngine::walk_full(
       Lane& lane = lanes_[live_[pos]];
       FlatBatchAnswer& a = answers[lane.qi];
       if (lane.here == lane.t) {
-        if (decisions_only) {
-          a.tree_root = kNoVertex;
-          a.first_deliver = true;
-          a.first_port = kNoPort;
-        }
         finish(lane, a, RouteStatus::kDelivered, path_arena);
         retire(pos);
         continue;
       }
       lane.port = ft->next_hop(lane.here, lane.t);
-      if (decisions_only) {
-        a.tree_root = kNoVertex;
-        a.first_deliver = false;
-        a.first_port = lane.port;
-        finish(lane, a, RouteStatus::kHopLimit, path_arena);
-        retire(pos);
-        continue;
-      }
       if (lane.port >= g.degree(lane.here)) {
         finish(lane, a, RouteStatus::kBadPort, path_arena);
         retire(pos);

@@ -25,6 +25,9 @@
 /// sim/ reference walk over every scheme kind and group size, ragged
 /// tails and self-queries included).
 ///
+/// Every walk runs under default_hop_budget (sim/packet.hpp), the bound
+/// route_one's scalar walk and the reference walk share.
+///
 /// Stage map per hop of the Thorup–Zwick walk at vertex v:
 ///   kStepMeta    read CSR offsets (prefetched on arrival), prefetch the
 ///                key slice's lines;
@@ -32,7 +35,7 @@
 ///                record;
 ///   kStepDecide  O(1) tree decision over the record, prefetch the arc;
 ///   kStepAdvance traverse the arc, prefetch the next vertex's offsets.
-/// Prepare (rule-0 directory probe + label pivot scan), the handshake's
+/// Prepare (rule-0 directory probe + min-level label scan), the handshake's
 /// bidirectional pivot walk, and the Cowen/full-table per-hop reads are
 /// staged the same way.
 ///
@@ -88,12 +91,9 @@ enum class FlatServeKind {
 struct FlatBatchTarget {
   const Graph* graph = nullptr;
   FlatServeKind kind = FlatServeKind::kTZDirect;
-  RoutingPolicy policy = RoutingPolicy::kMinLevel;  ///< kTZDirect only
   const FlatScheme* flat = nullptr;
   const FlatCowen* cowen = nullptr;
   const FlatFullTable* full = nullptr;
-  /// Hop budget; 0 = the serving default 4n + 16.
-  std::uint32_t max_hops = 0;
 };
 
 /// One query. For kTZDirect \p label must be the destination's resolved
@@ -121,10 +121,6 @@ struct FlatBatchAnswer {
   double latency_us = 0;
   std::uint32_t path_off = 0;  ///< slice into the caller's path arena
   std::uint32_t path_len = 0;
-  // --- decide() extras (unset by route()): the first source decision ---
-  VertexId tree_root = kNoVertex;  ///< chosen tree (TZ kinds)
-  bool first_deliver = false;
-  Port first_port = kNoPort;
 };
 
 /// Sampled pipeline-occupancy counters (see set_stats_sample_every).
@@ -181,13 +177,6 @@ class FlatBatchEngine {
                         std::span<FlatBatchAnswer> answers,
                         std::vector<VertexId>* path_arena = nullptr);
 
-  /// The micro-bench op: only the *source decision* — prepare plus the
-  /// first per-hop step — batched. Fills status/header_bits and the
-  /// decide() extras; no edges are traversed.
-  CROUTE_HOT void decide(const FlatBatchTarget& target,
-                         std::span<const FlatBatchQuery> queries,
-                         std::span<FlatBatchAnswer> answers);
-
  private:
   struct Lane {
     std::uint32_t qi = 0;
@@ -204,9 +193,7 @@ class FlatBatchEngine {
     // TZ label scan
     const FlatScheme::LabelEntryView* lab_it = nullptr;
     const FlatScheme::LabelEntryView* lab_end = nullptr;
-    const FlatScheme::LabelEntryView* lab_best = nullptr;
     const Port* lab_pool = nullptr;  ///< light-port pool of this label
-    Weight best_est = 0;
     // handshake walk
     VertexId hs_u = kNoVertex, hs_v = kNoVertex, hs_w = kNoVertex;
     std::uint32_t hs_i = 0;
@@ -217,37 +204,22 @@ class FlatBatchEngine {
     Weight length = 0;
     std::uint32_t hops = 0;
     Port port = kNoPort;
-    bool deliver = false;
     std::vector<VertexId>* path = nullptr;  ///< into lane_paths_, or null
   };
 
-  void run(const FlatBatchTarget& target,
-           std::span<const FlatBatchQuery> queries,
-           std::span<FlatBatchAnswer> answers,
-           std::vector<VertexId>* path_arena, bool decisions_only);
-
-  /// One generation: lanes_[0..m) are live as live_[0..live_count_).
-  void run_generation(const FlatBatchTarget& target,
-                      std::span<FlatBatchAnswer> answers,
-                      std::vector<VertexId>* path_arena,
-                      bool decisions_only, std::uint32_t max_hops);
-
-  // Lockstep phases (each is one loop over the live lanes).
-  void prepare_tz_direct(const FlatBatchTarget& target,
-                         std::span<FlatBatchAnswer> answers);
+  // Lockstep phases of one generation, whose lanes are live as
+  // live_[0..live_count_); each is one loop over the live lanes.
+  void prepare_tz_direct(const FlatBatchTarget& target);
   void prepare_tz_handshake(const FlatBatchTarget& target);
   void walk_tz(const FlatBatchTarget& target,
                std::span<FlatBatchAnswer> answers,
-               std::vector<VertexId>* path_arena, bool decisions_only,
-               std::uint32_t max_hops);
+               std::vector<VertexId>* path_arena, std::uint32_t max_hops);
   void walk_cowen(const FlatBatchTarget& target,
                   std::span<FlatBatchAnswer> answers,
-                  std::vector<VertexId>* path_arena, bool decisions_only,
-                  std::uint32_t max_hops);
+                  std::vector<VertexId>* path_arena, std::uint32_t max_hops);
   void walk_full(const FlatBatchTarget& target,
                  std::span<FlatBatchAnswer> answers,
-                 std::vector<VertexId>* path_arena, bool decisions_only,
-                 std::uint32_t max_hops);
+                 std::vector<VertexId>* path_arena, std::uint32_t max_hops);
 
   CROUTE_HOT void finish(Lane& lane, FlatBatchAnswer& answer,
                          RouteStatus status,

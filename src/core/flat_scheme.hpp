@@ -12,9 +12,8 @@
 ///
 ///  - **tables**: one CSR over all vertices' bunch entries. The *hot* key
 ///    array (tree roots, the only field a lookup compares) is contiguous
-///    and separated from the cold payloads (distance, level, node record,
-///    own-label slices), so a search touches the minimum number of cache
-///    lines;
+///    and separated from the cold payloads (node record, own-label
+///    slices), so a search touches the minimum number of cache lines;
 ///  - **directories**: the rule-0 member ids pooled the same way, with
 ///    dfs indices and light-port slices alongside;
 ///  - **labels**: every destination's entries in one pool; tree labels are
@@ -30,12 +29,15 @@
 /// per-hop probes stay in cache where a global hash's slot arrays do not
 /// (bench_micro_decision; ROADMAP item 2 records the numbers).
 ///
-/// FlatRouter mirrors TZRouter::prepare / prepare_handshake / step over
-/// the flat view with **zero heap allocation per query**: headers carry a
-/// pointer into the pooled light ports instead of owning a vector, and
-/// wire sizes come from a precomputed bits-by-length table instead of a
-/// BitWriter run. Answers are bit-identical to TZRouter's
-/// (tests/test_flat_scheme.cpp proves it pairwise).
+/// FlatRouter mirrors TZRouter::prepare (the paper's min-level rule) /
+/// prepare_handshake / step over the flat view with **zero heap
+/// allocation per query**: headers carry a pointer into the pooled light
+/// ports instead of owning a vector, and wire sizes come from a
+/// precomputed bits-by-length table instead of a BitWriter run. Answers
+/// are bit-identical to TZRouter's (tests/test_flat_scheme.cpp proves it
+/// pairwise). The reference TZRouter keeps the ablation policies
+/// (kMinEstimate, kLabelOnly); the flat view stores only what the two
+/// served decisions read, so it keeps no distances or levels.
 ///
 /// Compilation parallelizes over an optional ThreadPool (per-vertex table,
 /// directory and label slices are disjoint once the CSR offsets are prefix-
@@ -128,15 +130,15 @@ class FlatScheme {
   /// "not found" sentinel of find / dir_find.
   static constexpr std::uint32_t kNotFound = ~std::uint32_t{0};
 
-  /// One pooled label entry (fixed-size view of LabelEntry).
+  /// One pooled label entry: the fields of LabelEntry the min-level rule
+  /// reads (the pivot and t's tree label in T_w).
   struct LabelEntryView {
-    std::uint32_t level = 0;
     VertexId w = kNoVertex;
-    Weight dist = 0;              ///< d(w, t); 0 unless labels carry them
     std::uint32_t dfs_in = 0;     ///< t's dfs index in T_w
     std::uint32_t light_off = 0;  ///< slice into label_light_pool()
     std::uint32_t light_len = 0;
   };
+  static_assert(sizeof(LabelEntryView) == 16);
 
   /// Compiles the flat view, sharding the compile passes over \p pool
   /// when one is given (borrowed for the constructor call only; nullptr
@@ -247,12 +249,6 @@ class FlatScheme {
   CROUTE_HOT const TreeNodeRecord& record(std::uint32_t idx) const noexcept {
     return tbl_record_[idx];
   }
-  CROUTE_HOT Weight dist(std::uint32_t idx) const noexcept {
-    return tbl_dist_[idx];
-  }
-  CROUTE_HOT std::uint32_t level(std::uint32_t idx) const noexcept {
-    return tbl_level_[idx];
-  }
   /// v's own tree label in T_w for entry \p idx (handshake destination
   /// side), as non-owning pieces.
   CROUTE_HOT std::uint32_t own_dfs(std::uint32_t idx) const noexcept {
@@ -355,8 +351,6 @@ class FlatScheme {
   std::vector<std::uint32_t> tbl_off_;       ///< n+1
   std::vector<VertexId> tbl_key_;            ///< hot: tree roots
   std::vector<TreeNodeRecord> tbl_record_;   ///< cold payloads …
-  std::vector<Weight> tbl_dist_;
-  std::vector<std::uint32_t> tbl_level_;
   std::vector<std::uint32_t> tbl_own_dfs_;
   std::vector<std::uint32_t> tbl_own_light_off_;
   std::vector<std::uint32_t> tbl_own_light_len_;
@@ -388,32 +382,10 @@ class FlatRouter {
 
   CROUTE_HOT const FlatScheme& scheme() const noexcept { return *flat_; }
 
-  /// Source decision without handshake (stretch ≤ 4k−5). Uses the pooled
-  /// label of \p t; chooses the same pivot as TZRouter::prepare under
-  /// every policy.
-  CROUTE_HOT FlatHeader prepare(
-      VertexId s, VertexId t,
-      RoutingPolicy policy = RoutingPolicy::kMinLevel) const;
-
-  /// prepare with the label already resolved (the batched serving path
-  /// resolves each distinct destination once per batch and reuses it).
-  CROUTE_HOT FlatHeader prepare_resolved(
-      VertexId s, VertexId t, std::span<const FlatScheme::LabelEntryView> label,
-      RoutingPolicy policy = RoutingPolicy::kMinLevel) const {
-    return prepare_resolved(s, t, label, flat_->label_light_pool(), policy);
-  }
-
-  /// prepare_resolved with the label's light ports in a caller-owned pool:
-  /// each entry's light_off indexes \p light_pool instead of the scheme's
-  /// pooled ports. This is the wire seam — a LabelCodec-decoded label
-  /// lives in batch-owned buffers, and the header it produces is
-  /// byte-identical to the pooled-label one as long as the decoded
-  /// contents match (the codec round-trips exactly). \p light_pool must
-  /// outlive the returned header's use.
-  CROUTE_HOT FlatHeader prepare_resolved(
-      VertexId s, VertexId t, std::span<const FlatScheme::LabelEntryView> label,
-      const Port* light_pool,
-      RoutingPolicy policy = RoutingPolicy::kMinLevel) const;
+  /// Source decision without handshake (stretch ≤ 4k−5): rule 0, then
+  /// the first entry of t's pooled label whose pivot is in s's bunch —
+  /// the pivot TZRouter::prepare chooses under the min-level rule.
+  CROUTE_HOT FlatHeader prepare(VertexId s, VertexId t) const;
 
   /// Source decision with handshake (stretch ≤ 2k−1).
   CROUTE_HOT FlatHeader prepare_handshake(VertexId s, VertexId t) const;
@@ -561,6 +533,9 @@ class FlatFullTable {
 /// to \p entries and their light ports to \p ports (light_off fields are
 /// absolute offsets into \p ports; pass ports.data() as the light pool
 /// once the batch's decodes are done). Returns the label's target vertex.
+/// Each entry's level and (when the codec carries them) distance fields
+/// are read and dropped: the wire format is LabelCodec's, the view keeps
+/// what the min-level rule reads.
 ///
 /// Unlike LabelCodec::decode this parser is *incremental*: it never
 /// pre-sizes a container from an untrusted count, so a hostile length

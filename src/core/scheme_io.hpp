@@ -11,8 +11,10 @@
 /// The byte forms are the codec: save_scheme appends the scheme to a
 /// string, load_scheme decodes it from a byte span in one pass
 /// (util/serialize.hpp). The persist tier embeds these bytes as an
-/// artifact's TZ section, and the file wrappers (the `--warm` path) store
-/// them verbatim, so both read the same format.
+/// artifact's TZ section, and the file wrappers (croute_cli's reference
+/// preprocess/stats/route commands) store them verbatim, so both read
+/// the same format. A service starts from disk only through the persist
+/// tier, which also checks the construction options.
 ///
 /// Loaded schemes are behaviorally identical: every header prepared and
 /// every hop decided from a loaded scheme equals the original's (tested

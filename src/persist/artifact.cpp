@@ -225,7 +225,6 @@ void write_header(BufferWriter& w, const ArtifactMeta& meta,
   w.u32(kArtifactFormatVersion);
   w.u8(static_cast<std::uint8_t>(meta.scheme));
   w.u8(static_cast<std::uint8_t>(meta.sampling));
-  w.u8(meta.warm_started ? 1 : 0);
   w.u32(meta.k);
   w.u32(meta.n);
   w.u64(meta.seed);
@@ -268,7 +267,6 @@ ParsedHeader parse_header(std::string_view bytes) {
   const std::uint8_t sampling = r.u8();
   if (sampling > 1) reject("unknown sampling mode in header");
   h.meta.sampling = static_cast<SamplingMode>(sampling);
-  h.meta.warm_started = r.u8() != 0;
   h.meta.k = r.u32();
   h.meta.n = r.u32();
   h.meta.seed = r.u64();
@@ -378,7 +376,6 @@ std::string encode_package(const SchemePackage& pkg,
   meta.format_version = kArtifactFormatVersion;
   meta.scheme = pkg.options.scheme;
   meta.sampling = pkg.options.sampling;
-  meta.warm_started = !pkg.options.warm_start_path.empty();
   meta.k = pkg.options.k;
   meta.n = pkg.graph->num_vertices();
   meta.seed = pkg.options.seed;
@@ -456,12 +453,10 @@ SchemePackagePtr decode_package(std::string_view bytes,
   }
 
   auto pkg = std::make_shared<SchemePackage>();
+  // The digest check above makes the content options equal, so a
+  // recovered generation is the fresh build's bytes on (graph, seed) and
+  // anchors incremental rebuilds like one.
   pkg->options = serving;
-  // A recovered generation is NOT a warm start: its bytes are the fresh
-  // build's bytes on (graph, seed), so it can anchor incremental rebuilds
-  // — unless the artifact itself came from a warm-started build, whose
-  // preprocessing is not a function of the seed.
-  pkg->options.warm_start_path = h.meta.warm_started ? "(artifact)" : "";
 
   pkg->graph = decode_graph_section(section_reader(bytes, h, kSecGraph));
   if (graph_fingerprint(*pkg->graph) != h.meta.graph_digest) {

@@ -14,7 +14,7 @@
 /// compile is cheaper than decoding stored pools was, and leaving them
 /// out halves the artifact.
 ///
-/// Layout, format 3 (all little-endian, util/serialize.hpp):
+/// Layout, format 4 (all little-endian, util/serialize.hpp):
 ///
 ///   header   magic "croutea1" · format version · generation metadata
 ///            (scheme kind, k, sampling, seed, n, options digest, graph
@@ -25,10 +25,12 @@
 ///            whichever the package carries)
 ///   trailer  CRC32C of everything before it (whole-file)
 ///
-/// Format 1 also stored a FLAT_TZ section, and formats 1 and 2 carried
-/// the serving-path and flat-lookup bytes of the deleted legacy path and
-/// FKS layout; loaders reject both as version skew, and the service falls
-/// back to a fresh build with the reason recorded.
+/// Format 1 also stored a FLAT_TZ section, formats 1 and 2 carried the
+/// serving-path and flat-lookup bytes of the deleted legacy path and FKS
+/// layout, and formats 1–3 carried a warm-start byte for generations
+/// loaded from a scheme file (a mode the service no longer has). Loaders
+/// reject all three as version skew, and the service falls back to a
+/// fresh build with the reason recorded.
 ///
 /// The dual stamps — format version for the *container*, the metadata
 /// digests for the *generation* — mean a loader rejects incompatible or
@@ -55,14 +57,13 @@ namespace croute::persist {
 
 /// Container format version (bump on layout changes; loaders reject
 /// anything else — version skew falls back to fresh preprocessing).
-inline constexpr std::uint32_t kArtifactFormatVersion = 3;
+inline constexpr std::uint32_t kArtifactFormatVersion = 4;
 
 /// Generation metadata, readable from the header alone.
 struct ArtifactMeta {
   std::uint32_t format_version = 0;
   SchemeKind scheme = SchemeKind::kTZDirect;
   SamplingMode sampling = SamplingMode::kCentered;
-  bool warm_started = false;  ///< generation originated from a warm start
   std::uint32_t k = 0;
   VertexId n = 0;             ///< vertex count of the payload graph
   std::uint64_t seed = 0;

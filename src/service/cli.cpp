@@ -53,6 +53,11 @@ std::vector<RouteQuery> ServiceSetup::build_traffic(const Graph& g) const {
 }
 
 ServiceSetup parse_service_setup(const Flags& flags) {
+  if (flags.has("warm")) {
+    throw std::invalid_argument(
+        "--warm was removed: start from disk with --artifact-dir=DIR (the "
+        "first run persists the generation, later runs recover it)");
+  }
   ServiceSetup setup;
   setup.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   setup.graph_path = flags.get_string("graph", "");
@@ -70,7 +75,6 @@ ServiceSetup parse_service_setup(const Flags& flags) {
   opt.k = static_cast<std::uint32_t>(flags.get_int("k", 3));
   opt.sampling = parse_sampling(flags.get_string("sampling", "centered"));
   opt.seed = setup.seed + 1;
-  opt.warm_start_path = flags.get_string("warm", "");
   opt.batch_group = static_cast<std::uint32_t>(
       flags.get_int("batch-group", opt.batch_group));
   opt.persist.dir = flags.get_string("artifact-dir", "");

@@ -12,7 +12,7 @@
 /// to the binaries.
 ///
 /// Shared flags: --graph=FILE | --family=NAME --n=N [--weighted]
-/// --scheme --k --sampling --seed --threads --batch-group --warm=FILE
+/// --scheme --k --sampling --seed --threads --batch-group
 /// --artifact-dir --artifact-retain --rebuild-retries [--no-metrics]
 /// --workload --queries --batch --source-pool
 
@@ -70,6 +70,9 @@ struct ServiceSetup {
 
 /// Parses the shared flags into a ServiceSetup and validates it (throws
 /// std::invalid_argument with the validate() message on inconsistency).
+/// Unknown flags are ignored, except the removed warm-start flag: it
+/// throws, so a script that still passes it does not silently preprocess
+/// from scratch.
 ServiceSetup parse_service_setup(const Flags& flags);
 
 }  // namespace croute

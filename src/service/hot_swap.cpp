@@ -69,9 +69,7 @@ void emit_rebuild_spans(obs::TraceRecorder& trace, const SchemePackage& pkg,
 }  // namespace
 
 SchemePackagePtr SchemeManager::rebuild_now(Graph g, RebuildMode mode) {
-  RouteServiceOptions opt = service_->options();
-  // A mutated graph has a new fingerprint; rebuilds always preprocess.
-  opt.warm_start_path.clear();
+  const RouteServiceOptions& opt = service_->options();
   obs::TraceRecorder* trace = service_->trace_recorder();
   obs::TraceRecorder::Span rebuild_span(trace, "rebuild", "rebuild");
   const double rebuild_start_us = trace != nullptr ? trace->now_us() : 0;

@@ -16,16 +16,15 @@
 /// Rebuilds are **delta-aware by default**: the manager diffs the new
 /// topology against the serving generation and reuses every cluster SPT
 /// the delta provably leaves untouched (core/incremental_rebuild.hpp),
-/// byte-identical to a full preprocessing. RebuildMode::kFull is the
-/// per-call escape hatch; RouteServiceOptions::incremental_rebuild=false
-/// disables the delta-aware path service-wide. Reuse ratios and phase
-/// timings land in ServiceTelemetry next to the flat-compile stats.
+/// byte-identical to a full preprocessing. RebuildMode::kFull, passed
+/// per call, is the one switch to full preprocessing. Reuse ratios and
+/// phase timings land in ServiceTelemetry next to the flat-compile stats.
 ///
 /// Determinism contract: rebuilds reuse the service's construction
-/// options (seed included, warm start dropped), so a hot-swapped
-/// generation is byte-identical to a fresh RouteService built on the same
-/// graph. tests/test_hot_swap.cpp proves answers match fresh services at
-/// every thread count, across ≥ 3 swap cycles under concurrent batches.
+/// options (seed included), so a hot-swapped generation is
+/// byte-identical to a fresh RouteService built on the same graph.
+/// tests/test_hot_swap.cpp proves answers match fresh services at every
+/// thread count, across ≥ 3 swap cycles under concurrent batches.
 ///
 /// Threading: at most one background rebuild is in flight; rebuild_async
 /// joins any previous one first. wait() joins and rethrows a background
@@ -63,8 +62,7 @@ enum class RebuildMode {
   /// and reuse every cluster SPT the delta leaves untouched
   /// (core/incremental_rebuild.hpp). Byte-identical to a full rebuild;
   /// falls back to one automatically when no compatible previous
-  /// generation exists or RouteServiceOptions::incremental_rebuild is
-  /// off. The default.
+  /// generation exists. The default.
   kIncremental,
   /// Full preprocessing from scratch — the escape hatch (and the
   /// attribution baseline the churn bench prices reuse against).
@@ -89,8 +87,8 @@ class SchemeManager {
   const RouteService& service() const noexcept { return *service_; }
 
   /// Rebuilds on the CALLING thread over \p g (taken by value — pass an
-  /// rvalue to avoid the copy; service options with warm start dropped),
-  /// records the rebuild time, publishes the swap, and returns the new
+  /// rvalue to avoid the copy) under the service's options, records the
+  /// rebuild time, publishes the swap, and returns the new
   /// generation. Blocks for the full preprocessing. The default mode
   /// pins the serving generation and rebuilds delta-aware against it.
   SchemePackagePtr rebuild_now(Graph g,

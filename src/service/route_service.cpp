@@ -48,9 +48,9 @@ CROUTE_HOT inline void record_hop(std::vector<VertexId>* path, VertexId v) {
 /// Simulator::run (statuses, hop budget, path recording) but monomorphic —
 /// the step callable inlines, and the path lands in a caller-owned arena.
 template <typename StepFn>
-CROUTE_HOT void walk(const Graph& g, VertexId s, VertexId t,
-                     std::uint32_t max_hops, StepFn&& step,
+CROUTE_HOT void walk(const Graph& g, VertexId s, VertexId t, StepFn&& step,
                      std::vector<VertexId>* path, RouteAnswer& a) {
+  const std::uint32_t max_hops = default_hop_budget(g);
   record_hop(path, s);
   VertexId here = s;
   while (true) {
@@ -265,10 +265,9 @@ void RouteService::record_rebuild(const SchemePackage& pkg) {
   }
 }
 
-CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
-                                           const RouteQuery& query,
-                                           std::vector<VertexId>* path_out,
-                                           const DestMemo* memo) const {
+CROUTE_HOT RouteAnswer RouteService::serve(
+    const SchemePackage& pkg, const RouteQuery& query,
+    std::vector<VertexId>* path_out) const {
   const Graph& g = *pkg.graph;
   const VertexId n = g.num_vertices();
   CROUTE_REQUIRE(query.s < n && query.t < n, "endpoint out of range");
@@ -282,32 +281,22 @@ CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
     record_hop(path_out, query.s);
     return a;
   }
-  const std::uint32_t max_hops = 4 * n + 16;
   switch (options_.scheme) {
     case SchemeKind::kTZDirect: {
-      const FlatHeader h =
-          memo != nullptr
-              ? pkg.flat_router->prepare_resolved(
-                    query.s, query.t, memo->label,
-                    memo->light_pool != nullptr
-                        ? memo->light_pool
-                        : pkg.flat->label_light_pool())
-              : pkg.flat_router->prepare(query.s, query.t);
+      const FlatHeader h = pkg.flat_router->prepare(query.s, query.t);
       a.header_bits = h.bits;
-      walk(
-          g, query.s, query.t, max_hops,
-          [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
-          a);
+      walk(g, query.s, query.t,
+           [&](VertexId v) { return pkg.flat_router->step(v, h); },
+           path_out, a);
       break;
     }
     case SchemeKind::kTZHandshake: {
       const FlatHeader h = pkg.flat_router->prepare_handshake(query.s,
                                                               query.t);
       a.header_bits = h.bits;
-      walk(
-          g, query.s, query.t, max_hops,
-          [&](VertexId v) { return pkg.flat_router->step(v, h); }, path_out,
-          a);
+      walk(g, query.s, query.t,
+           [&](VertexId v) { return pkg.flat_router->step(v, h); },
+           path_out, a);
       break;
     }
     case SchemeKind::kCowen: {
@@ -315,21 +304,19 @@ CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
       // port alongside, home-landmark column pre-resolved in the label.
       const FlatCowen::Label label = pkg.flat_cowen->label(query.t);
       a.header_bits = pkg.flat_cowen->label_bits();
-      walk(
-          g, query.s, query.t, max_hops,
-          [&](VertexId v) { return pkg.flat_cowen->step(v, label); },
-          path_out, a);
+      walk(g, query.s, query.t,
+           [&](VertexId v) { return pkg.flat_cowen->step(v, label); },
+           path_out, a);
       break;
     }
     case SchemeKind::kFullTable: {
       a.header_bits = pkg.flat_full->label_bits();
-      walk(
-          g, query.s, query.t, max_hops,
-          [&](VertexId v) {
-            if (v == query.t) return TreeDecision{true, kNoPort};
-            return TreeDecision{false, pkg.flat_full->next_hop(v, query.t)};
-          },
-          path_out, a);
+      walk(g, query.s, query.t,
+           [&](VertexId v) {
+             if (v == query.t) return TreeDecision{true, kNoPort};
+             return TreeDecision{false, pkg.flat_full->next_hop(v, query.t)};
+           },
+           path_out, a);
       break;
     }
   }
@@ -339,44 +326,11 @@ CROUTE_HOT RouteAnswer RouteService::serve(const SchemePackage& pkg,
 
 CROUTE_HOT RouteAnswer RouteService::route_one(const RouteQuery& query) const {
   const SchemePackagePtr pkg = package();  // pin this generation
-  return route_one_served(*pkg, query, nullptr);
-}
-
-RouteAnswer RouteService::route_one(const RouteRequest& request) const {
-  if (request.label.empty()) {
-    CROUTE_REQUIRE(request.t != kNoVertex,
-                   "request needs a destination: a vertex id or a label");
-    return route_one(RouteQuery{request.s, request.t, request.exact});
-  }
-  const SchemePackagePtr pkg = package();
-  CROUTE_REQUIRE(options_.scheme == SchemeKind::kTZDirect,
-                 "label-addressed requests need the kTZDirect scheme");
-  // Locally decoded label (route_one is the single-query path — no batch
-  // arenas to share; the allocations are why the label form is not HOT).
-  std::vector<FlatScheme::LabelEntryView> entries;
-  std::vector<Port> ports;
-  const BitWriter bw = from_bytes(request.label, request.label_bits);
-  BitReader r(bw);
-  const VertexId t = decode_wire_label(pkg->tz->label_codec(), num_vertices_,
-                                       r, entries, ports);
-  CROUTE_REQUIRE(r.position() == request.label_bits,
-                 "trailing garbage after the label");
-  DestMemo memo;
-  memo.t = t;
-  memo.label = {entries.data(), entries.size()};
-  memo.light_pool = ports.data();
-  return route_one_served(*pkg, RouteQuery{request.s, t, request.exact},
-                          &memo);
-}
-
-CROUTE_HOT RouteAnswer RouteService::route_one_served(const SchemePackage& pkg,
-                                           const RouteQuery& query,
-                                           const DestMemo* memo) const {
   using clock = std::chrono::steady_clock;
   const auto begin = clock::now();
   RouteAnswer a;
   if (!options_.record_paths) {
-    a = serve(pkg, query, nullptr, memo);
+    a = serve(*pkg, query, nullptr);
   } else {
     // The arena makes route_one single-caller with record_paths on; the
     // answer's path invalidates only the previous route_one path — the
@@ -384,7 +338,7 @@ CROUTE_HOT RouteAnswer RouteService::route_one_served(const SchemePackage& pkg,
     const std::uint64_t stamp =
         one_path_gen_.fetch_add(1, std::memory_order_relaxed) + 1;
     one_arena_.clear();
-    a = serve(pkg, query, &one_arena_, memo);
+    a = serve(*pkg, query, &one_arena_);
     a.path = PathView{one_arena_.data(), one_arena_.size(), &one_path_gen_,
                       stamp};
   }

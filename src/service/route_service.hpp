@@ -6,7 +6,7 @@
 /// per-node state; this layer turns the single-packet `sim/` harness into
 /// a serving engine in the sense of "On Compact Routing for the Internet"
 /// (Krioukov et al.): an immutable scheme generation (SchemePackage),
-/// preprocessed once (optionally warm-started from a scheme_io file),
+/// preprocessed once (or recovered from the artifact store, src/persist/),
 /// answering batched route queries from a persistent pool of worker
 /// threads — and replaceable under live traffic when the topology churns.
 ///
@@ -48,8 +48,9 @@
 /// compute, so one worker keeps G cache misses in flight instead of one.
 /// route_one keeps a scalar walk over the same pooled state — it must
 /// stay allocation-free and callable from any thread, so it cannot
-/// borrow per-worker engine scratch. Answers are byte-identical to the
-/// paper's reference walk (sim/) on every ISA, group size and thread
+/// borrow per-worker engine scratch. Both walks run under one hop budget
+/// (default_hop_budget, sim/packet.hpp). Answers are byte-identical to
+/// the paper's reference walk (sim/) on every ISA, group size and thread
 /// count (tests/test_simd.cpp).
 ///
 /// Batched prepare: each batch is processed grouped by destination and a
@@ -364,16 +365,12 @@ class RouteService {
   /// generators' form).
   std::vector<RouteAnswer> route_collect(std::span<const RouteQuery> queries);
 
-  /// Serves one request on the calling thread (no pool dispatch) against
-  /// the current generation. Label-addressed requests decode the label
-  /// locally (kTZDirect only). The answer's path points into a
-  /// dedicated arena: it invalidates only the previous route_one answer's
-  /// path, never a batch's (see RouteAnswer::path). With record_paths off
-  /// this is safe to call concurrently (telemetry lands in an atomic
-  /// slot).
-  RouteAnswer route_one(const RouteRequest& request) const;
-
-  /// route_one for the vertex-addressed query form.
+  /// Serves one vertex-addressed query on the calling thread (no pool
+  /// dispatch) against the current generation. The answer's path points
+  /// into a dedicated arena: it invalidates only the previous route_one
+  /// answer's path, never a batch's (see RouteAnswer::path). With
+  /// record_paths off this is safe to call concurrently (telemetry lands
+  /// in an atomic slot).
   CROUTE_HOT RouteAnswer route_one(const RouteQuery& query) const;
 
   /// Merged telemetry over all worker shards, the route_one slot, and
@@ -504,14 +501,7 @@ class RouteService {
   /// the path (if any) into \p path_out.
   CROUTE_HOT RouteAnswer serve(const SchemePackage& pkg,
                                const RouteQuery& query,
-                               std::vector<VertexId>* path_out,
-                               const DestMemo* memo) const;
-
-  /// route_one's shared tail: serve + timing + the one-slot telemetry
-  /// (memo carries a locally decoded label for the label-addressed form).
-  CROUTE_HOT RouteAnswer route_one_served(const SchemePackage& pkg,
-                               const RouteQuery& query,
-                               const DestMemo* memo) const;
+                               std::vector<VertexId>* path_out) const;
 
   /// Fills order_ / dest_memos_ / dest_slot_ for this batch over the
   /// resolved \p queries, resolving each distinct destination's label

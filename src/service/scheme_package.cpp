@@ -3,7 +3,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "core/scheme_io.hpp"
 #include "graph/connectivity.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
@@ -54,13 +53,6 @@ std::string RouteServiceOptions::validate() const {
   if (is_tz && k > 64) {
     return "k = " + std::to_string(k) +
            " is past any useful hierarchy depth (want 1..64)";
-  }
-  if (!warm_start_path.empty() && !is_tz) {
-    return std::string("warm start: '") + warm_start_path +
-           "' is a scheme_io TZ preprocessing file, which scheme '" +
-           scheme_name(scheme) +
-           "' cannot load — drop --warm, or use --artifact-dir (the persist "
-           "tier covers every scheme kind)";
   }
   if (persist.dir.empty() && persist.retain != 2) {
     return "persist.retain is set but persist.dir is empty — persistence "
@@ -129,14 +121,11 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
   switch (options.scheme) {
     case SchemeKind::kTZDirect:
     case SchemeKind::kTZHandshake: {
-      if (!options.warm_start_path.empty()) {
-        pkg->tz = std::make_unique<const TZScheme>(
-            load_scheme_file(options.warm_start_path, g));
-      } else if (previous != nullptr) {
-        TZSchemeOptions opt;
-        opt.pre.k = options.k;
-        opt.pre.hierarchy.mode = options.sampling;
-        Rng rng(options.seed);
+      TZSchemeOptions opt;
+      opt.pre.k = options.k;
+      opt.pre.hierarchy.mode = options.sampling;
+      Rng rng(options.seed);
+      if (previous != nullptr) {
         const auto diff_begin = clock::now();
         const GraphDelta delta = diff_graphs(*previous->graph, g);
         incr_stats.diff_s =
@@ -144,10 +133,6 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
         pkg->tz = std::make_unique<const TZScheme>(rebuild_tz_incremental(
             *previous->tz, g, delta, opt, rng, &incr_stats));
       } else {
-        TZSchemeOptions opt;
-        opt.pre.k = options.k;
-        opt.pre.hierarchy.mode = options.sampling;
-        Rng rng(options.seed);
         pkg->tz = std::make_unique<const TZScheme>(g, opt, rng);
       }
       compile_flat_view(*pkg);
@@ -190,18 +175,9 @@ SchemePackagePtr build_scheme_package_incremental(
   const char* fallback = nullptr;
   if (!is_tz) {
     fallback = "non-tz scheme";
-  } else if (!options.incremental_rebuild) {
-    fallback = "disabled by options";
-  } else if (!options.warm_start_path.empty()) {
-    fallback = "warm start requested";
   } else if (previous == nullptr || previous->tz == nullptr ||
              previous->graph == nullptr) {
     fallback = "no previous generation";
-  } else if (!previous->options.warm_start_path.empty()) {
-    // A warm-started generation's preprocessing bytes are not a
-    // function of options.seed, so its trees cannot anchor the
-    // byte-identity contract.
-    fallback = "previous generation was warm-started";
   } else if (previous->graph->num_vertices() != graph->num_vertices()) {
     fallback = "vertex set changed";
   } else if (previous->options.k != options.k ||

@@ -54,8 +54,10 @@ const char* sampling_name(SamplingMode mode) noexcept;
 /// Parses "centered" / "bernoulli" (throws on others).
 SamplingMode parse_sampling(const std::string& name);
 
-/// Construction-time options for RouteService (and for every package a
-/// rebuild produces; only warm_start_path is dropped on rebuilds).
+/// Construction-time options for RouteService and for every package a
+/// rebuild produces. A generation's content is a function of (graph,
+/// scheme, k, sampling, seed); the other fields only change how it is
+/// served.
 struct RouteServiceOptions {
   SchemeKind scheme = SchemeKind::kTZDirect;
   /// Worker threads (0 = worker_count()).
@@ -69,9 +71,9 @@ struct RouteServiceOptions {
   /// doubles the SPT reuse the delta-aware rebuild achieves (the
   /// centered sampler loses a few cap-marginal landmarks per delta).
   SamplingMode sampling = SamplingMode::kCentered;
-  /// Preprocessing seed (landmark sampling; ignored on warm start).
-  /// Rebuilds reuse it, so a hot-swapped service and a fresh service on
-  /// the same graph preprocess byte-identically.
+  /// Preprocessing seed (landmark sampling). Rebuilds reuse it, so a
+  /// hot-swapped service and a fresh service on the same graph
+  /// preprocess byte-identically.
   std::uint64_t seed = 1;
   /// Record full vertex paths in answers (tests want them; throughput
   /// runs usually don't). Paths land in per-worker arenas — see
@@ -87,24 +89,12 @@ struct RouteServiceOptions {
   /// Worker threads for the flat compile passes (0 = worker_count(),
   /// 1 = serial). The compiled bytes are identical at every count.
   unsigned compile_threads = 0;
-  /// Rebuild path on topology churn (TZ schemes): true lets
-  /// SchemeManager rebuild delta-aware, reusing every cluster SPT the
-  /// delta provably leaves untouched (core/incremental_rebuild.hpp —
-  /// byte-identical to a from-scratch build on the same seed). false
-  /// forces full preprocessing on every rebuild; RebuildMode::kFull is
-  /// the per-call escape hatch.
-  bool incremental_rebuild = true;
   /// Always-on observability (src/obs/): per-worker latency/queue-wait
   /// histograms, decision counters, and the rebuild trace recorder. The
   /// record path is a couple of relaxed atomic adds per *batch chunk* (not
   /// per query), so the default is on; false drops every obs recording
   /// for apples-to-apples overhead measurements.
   bool metrics = true;
-  /// Optional scheme_io file to warm-start from instead of preprocessing
-  /// (TZ schemes only; the file must match the graph's fingerprint).
-  /// Applies to the initial package only — a rebuilt graph has a new
-  /// fingerprint, so rebuilds always preprocess.
-  std::string warm_start_path;
   /// Crash-safe persistence + rebuild-resilience knobs, nested as one
   /// sub-struct (they configure the same src/persist seam and travel
   /// together through CLIs and tests).
@@ -114,10 +104,11 @@ struct RouteServiceOptions {
     /// instead of preprocessing (degrading gracefully — a corrupt or
     /// incompatible store falls back to a fresh build with a recorded
     /// reason), and persists every generation (initial + rebuilds)
-    /// atomically after publishing it. Unlike warm_start_path this
-    /// covers EVERY scheme kind, carries the generation's own graph, and
-    /// survives crashes at any byte (tmp → fsync → rename + MANIFEST).
-    /// Empty = persistence off.
+    /// atomically after publishing it. This is the one way a service
+    /// starts from disk: it covers every scheme kind, carries the
+    /// generation's own graph, checks the construction options against
+    /// the artifact's digest, and survives crashes at any byte (tmp →
+    /// fsync → rename + MANIFEST). Empty = persistence off.
     std::string dir;
     /// Artifact generations retained on disk; older ones are unlinked
     /// after each publish (the MANIFEST's live + backup are always
@@ -198,8 +189,9 @@ SchemePackagePtr build_scheme_package(std::shared_ptr<const Graph> graph,
 /// byte-identical to build_scheme_package(graph, options) — incremental
 /// rebuilds change the cost of a generation, never its content. Falls
 /// back to a full build (recording why in incr_stats.fallback_reason)
-/// when the scheme kind is not TZ, the options disable or preclude the
-/// incremental path, or \p previous is missing/incompatible.
+/// when the scheme kind is not TZ or \p previous is missing or was built
+/// for another vertex set or other construction options. Callers that
+/// want a full build call build_scheme_package (RebuildMode::kFull).
 /// Safe to call from a background thread.
 SchemePackagePtr build_scheme_package_incremental(
     SchemePackagePtr previous, std::shared_ptr<const Graph> graph,

@@ -15,8 +15,17 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/annotations.hpp"
 
 namespace croute {
+
+/// The hop budget of every walk: the simulator's default, the batch
+/// engine's and route_one's. A walk that has not delivered within this
+/// many hops ends as kHopLimit. The served walks match the reference walk
+/// byte for byte only while all three share this one bound.
+CROUTE_HOT inline std::uint32_t default_hop_budget(const Graph& g) noexcept {
+  return 4 * g.num_vertices() + 16;
+}
 
 /// Why a simulation run ended.
 enum class RouteStatus {

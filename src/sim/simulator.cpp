@@ -11,7 +11,7 @@ RouteResult Simulator::run(VertexId s, VertexId t, const StepFn& step,
   const VertexId n = g_->num_vertices();
   CROUTE_REQUIRE(s < n && t < n, "endpoint out of range");
   const std::uint32_t max_hops =
-      options_.max_hops > 0 ? options_.max_hops : 4 * n + 16;
+      options_.max_hops > 0 ? options_.max_hops : default_hop_budget(*g_);
 
   RouteResult r;
   r.header_bits = header_bits;

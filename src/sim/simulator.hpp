@@ -36,7 +36,7 @@ namespace croute {
 
 /// Limits and switches for a simulation run.
 struct SimOptions {
-  /// 0 = automatic (4n + 16).
+  /// 0 = automatic (default_hop_budget: 4n + 16).
   std::uint32_t max_hops = 0;
   /// Record the full vertex path (tests want it; large sweeps may not).
   bool record_path = true;

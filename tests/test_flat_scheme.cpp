@@ -2,12 +2,14 @@
 // compiled view must agree with TZScheme's VertexTable / ClusterDirectory
 // / RoutingLabel structures answer-for-answer — same find results, same
 // prepared headers (pivot, tree label, exact wire bits), same per-hop
-// decisions — across k ∈ {2,3,4} and all three routing policies; and
-// RouteService must serve byte-identical answers to the sim/ reference
-// walk at every thread count and pipeline depth.
+// decisions — across k ∈ {2,3,4} for the two served decisions (the
+// min-level rule and the handshake); and RouteService must serve
+// byte-identical answers to the sim/ reference walk at every thread
+// count and pipeline depth.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -24,10 +26,6 @@
 namespace croute {
 namespace {
 
-constexpr RoutingPolicy kPolicies[] = {RoutingPolicy::kMinLevel,
-                                       RoutingPolicy::kMinEstimate,
-                                       RoutingPolicy::kLabelOnly};
-
 struct FlatFixture {
   Graph g;
   std::unique_ptr<TZScheme> scheme;
@@ -38,7 +36,9 @@ struct FlatFixture {
     g = make_workload(family, n, grng);
     TZSchemeOptions opt;
     opt.pre.k = k;
-    opt.labels_carry_distances = true;  // enables kMinEstimate
+    // Labels that carry distances: the flat view must compile them too
+    // (it keeps no distances; only the reference kMinEstimate reads them).
+    opt.labels_carry_distances = true;
     Rng rng(seed + 1);
     scheme = std::make_unique<TZScheme>(g, opt, rng);
   }
@@ -64,7 +64,7 @@ void expect_same_walk(const Graph& g, VertexId s, VertexId t,
                       const FlatRouter& frouter, const FlatHeader& fh) {
   VertexId here = s;
   for (std::uint32_t hops = 0;; ++hops) {
-    ASSERT_LT(hops, 4 * g.num_vertices() + 16) << "routing loop";
+    ASSERT_LT(hops, default_hop_budget(g)) << "routing loop";
     const TreeDecision dl = router.step(here, lh);
     const TreeDecision df = frouter.step(here, fh);
     ASSERT_EQ(dl.deliver, df.deliver) << "s=" << s << " t=" << t;
@@ -87,8 +87,6 @@ TEST(FlatScheme, FindMatchesLegacyLookup) {
       for (const TableEntry& e : fx.scheme->table(v).entries()) {
         const std::uint32_t idx = flat.find(v, e.w);
         ASSERT_NE(idx, FlatScheme::kNotFound);
-        EXPECT_EQ(flat.dist(idx), e.dist);
-        EXPECT_EQ(flat.level(idx), e.level);
         EXPECT_EQ(flat.record(idx).dfs_in, e.record.dfs_in);
         EXPECT_EQ(flat.record(idx).parent_port, e.record.parent_port);
         const TreeLabel own = fx.scheme->table(v).own_label(e);
@@ -132,34 +130,15 @@ TEST(FlatScheme, PrepareAndStepMatchLegacyEverywhere) {
     const FlatScheme flat(*fx.scheme);
     const FlatRouter frouter(flat);
     for (const PairSample& p : all_pairs(fx.g)) {
-      for (const RoutingPolicy policy : kPolicies) {
-        const TZHeader lh = router.prepare(p.s, fx.scheme->label(p.t), policy);
-        const FlatHeader fh = frouter.prepare(p.s, p.t, policy);
-        expect_same_header(lh, fh, router);
-        if (policy == RoutingPolicy::kMinLevel) {
-          expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
-        }
-      }
-      const TZHeader lh = router.prepare_handshake(p.s, p.t);
-      const FlatHeader fh = frouter.prepare_handshake(p.s, p.t);
+      const TZHeader lh = router.prepare(p.s, fx.scheme->label(p.t));
+      const FlatHeader fh = frouter.prepare(p.s, p.t);
       expect_same_header(lh, fh, router);
       expect_same_walk(fx.g, p.s, p.t, router, lh, frouter, fh);
+      const TZHeader lhs = router.prepare_handshake(p.s, p.t);
+      const FlatHeader fhs = frouter.prepare_handshake(p.s, p.t);
+      expect_same_header(lhs, fhs, router);
+      expect_same_walk(fx.g, p.s, p.t, router, lhs, frouter, fhs);
     }
-  }
-}
-
-TEST(FlatScheme, PrepareResolvedMatchesPrepare) {
-  const FlatFixture fx(3, 150, 321);
-  const FlatScheme flat(*fx.scheme);
-  const FlatRouter frouter(flat);
-  for (const PairSample& p : all_pairs(fx.g)) {
-    const FlatHeader a = frouter.prepare(p.s, p.t);
-    const FlatHeader b = frouter.prepare_resolved(p.s, p.t, flat.label(p.t));
-    EXPECT_EQ(a.tree_root, b.tree_root);
-    EXPECT_EQ(a.dfs_in, b.dfs_in);
-    EXPECT_EQ(a.light, b.light);
-    EXPECT_EQ(a.light_len, b.light_len);
-    EXPECT_EQ(a.bits, b.bits);
   }
 }
 
@@ -311,36 +290,6 @@ TEST(FlatBatch, RejectsOutOfRangeEndpoints) {
                std::invalid_argument);
 }
 
-// decide() — the micro bench's batched source decision — must agree with
-// scalar prepare + step for every pair.
-TEST(FlatBatch, DecideMatchesScalarPrepareStep) {
-  const FlatFixture fx(3, 200, 81);
-  const Graph& g = fx.g;
-  const FlatScheme flat(*fx.scheme);
-  const FlatRouter router(flat);
-  FlatBatchTarget target;
-  target.graph = &g;
-  target.kind = FlatServeKind::kTZDirect;
-  target.flat = &flat;
-  std::vector<FlatBatchQuery> qs;
-  for (const PairSample& p : all_pairs(g)) {
-    qs.push_back(FlatBatchQuery{p.s, p.t, flat.label(p.t)});
-  }
-  std::vector<FlatBatchAnswer> as(qs.size());
-  FlatBatchEngine engine(8);
-  engine.decide(target, qs, as);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const FlatHeader h = router.prepare(qs[i].s, qs[i].t);
-    const TreeDecision d = router.step(qs[i].s, h);
-    ASSERT_EQ(as[i].tree_root, h.tree_root) << "pair " << i;
-    ASSERT_EQ(as[i].header_bits, h.bits) << "pair " << i;
-    ASSERT_EQ(as[i].first_deliver, d.deliver) << "pair " << i;
-    if (!d.deliver) {
-      ASSERT_EQ(as[i].first_port, d.port) << "pair " << i;
-    }
-  }
-}
-
 // Handshake routes through the engine: equivalence against the scalar
 // walk at the engine level (the service matrix above covers it too, but
 // this pins prepare_handshake's staged bidirectional pivot walk
@@ -361,7 +310,7 @@ TEST(FlatBatch, HandshakeRouteMatchesScalarWalk) {
   std::vector<FlatBatchAnswer> as(qs.size());
   FlatBatchEngine engine(16);
   engine.route(target, qs, as);
-  const std::uint32_t max_hops = 4 * g.num_vertices() + 16;
+  const std::uint32_t max_hops = default_hop_budget(g);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     const FlatHeader h = router.prepare_handshake(qs[i].s, qs[i].t);
     Weight length = 0;
@@ -403,7 +352,10 @@ TEST(FlatScheme, ParallelCompileMatchesSerial) {
       const std::uint32_t b = parallel.find(v, e.w);
       ASSERT_EQ(a, b);
       ASSERT_NE(a, FlatScheme::kNotFound);
-      ASSERT_EQ(serial.dist(a), parallel.dist(b));
+      // TreeNodeRecord is seven 32-bit fields: no padding to compare.
+      ASSERT_EQ(std::memcmp(&serial.record(a), &parallel.record(b),
+                            sizeof(TreeNodeRecord)),
+                0);
       ASSERT_EQ(serial.own_dfs(a), parallel.own_dfs(b));
       const auto pa = serial.own_light_ports(a);
       const auto pb = parallel.own_light_ports(b);

@@ -262,7 +262,7 @@ TEST(Fuzz, ArtifactMutationCorpusNeverCrashesOrMisroutes) {
 }
 
 TEST(Fuzz, SchemeBytesMutationCorpusLoadsOrThrowsInvalidArgument) {
-  // The same hostile-bytes contract for load_scheme. `--warm` files carry
+  // The same hostile-bytes contract for load_scheme. Scheme files carry
   // no checksum, so the decoder alone stands between a corrupt file and
   // the process: every mutant must either load or throw a clean
   // std::invalid_argument. Any other exception type fails here, and a

@@ -294,21 +294,13 @@ TEST(IncrementalPackage, FallsBackWithRecordedReason) {
   EXPECT_FALSE(p1->incr_stats.used);
   EXPECT_STREQ(p1->incr_stats.fallback_reason, "no previous generation");
 
-  // Disabled by options.
-  RouteServiceOptions off = opt;
-  off.incremental_rebuild = false;
-  auto p2 = build_scheme_package_incremental(
-      p1, std::make_shared<const Graph>(g), off);
-  EXPECT_FALSE(p2->incr_stats.used);
-  EXPECT_STREQ(p2->incr_stats.fallback_reason, "disabled by options");
-
   // Changed construction options.
   RouteServiceOptions reseeded = opt;
   reseeded.seed = 6;
-  auto p3 = build_scheme_package_incremental(
+  auto p2 = build_scheme_package_incremental(
       p1, std::make_shared<const Graph>(g), reseeded);
-  EXPECT_FALSE(p3->incr_stats.used);
-  EXPECT_STREQ(p3->incr_stats.fallback_reason,
+  EXPECT_FALSE(p2->incr_stats.used);
+  EXPECT_STREQ(p2->incr_stats.fallback_reason,
                "construction options changed");
 
   // Non-TZ scheme kinds always take the full path.

@@ -404,6 +404,38 @@ int connect_raw(std::uint16_t port) {
 // decode_wire_label hostile inputs
 // ---------------------------------------------------------------------
 
+/// Every vertex's wire label decodes to exactly its pooled label: the
+/// decoder consumes the whole encoding — the level fields and, when the
+/// codec carries them, the 64-bit distances it reads and drops included
+/// — and yields the same pivots, dfs indices and light ports.
+void expect_wire_labels_match_pool(const TZScheme& scheme,
+                                   const FlatScheme& flat) {
+  const LabelCodec& codec = scheme.label_codec();
+  const VertexId n = scheme.graph().num_vertices();
+  for (VertexId t = 0; t < n; ++t) {
+    BitWriter w;
+    codec.encode(scheme.label(t), w);
+    BitReader r(w);
+    std::vector<FlatScheme::LabelEntryView> entries;
+    std::vector<Port> ports;
+    ASSERT_EQ(decode_wire_label(codec, n, r, entries, ports), t);
+    ASSERT_EQ(r.position(), w.bit_size()) << "t=" << t;
+    const std::span<const FlatScheme::LabelEntryView> pooled = flat.label(t);
+    ASSERT_EQ(entries.size(), pooled.size()) << "t=" << t;
+    for (std::size_t j = 0; j < entries.size(); ++j) {
+      EXPECT_EQ(entries[j].w, pooled[j].w) << "t=" << t << " entry " << j;
+      EXPECT_EQ(entries[j].dfs_in, pooled[j].dfs_in)
+          << "t=" << t << " entry " << j;
+      const std::span<const Port> want = flat.label_light_ports(pooled[j]);
+      const std::span<const Port> got{ports.data() + entries[j].light_off,
+                                      entries[j].light_len};
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                             want.end()))
+          << "t=" << t << " entry " << j;
+    }
+  }
+}
+
 TEST(WireLabelDecode, HostileInputsThrowCleanly) {
   NetFixture fx;
   RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
@@ -411,17 +443,22 @@ TEST(WireLabelDecode, HostileInputsThrowCleanly) {
   const LabelCodec& codec = pkg->tz->label_codec();
   const VertexId n = fx.g.num_vertices();
 
-  // A valid wire label round-trips.
+  // Every valid wire label round-trips, with and without carried
+  // distances (the service's labels carry none).
+  ASSERT_FALSE(codec.carries_distances());
+  expect_wire_labels_match_pool(*pkg->tz, *pkg->flat);
+  {
+    TZSchemeOptions sopt;
+    sopt.pre.k = 3;
+    sopt.labels_carry_distances = true;
+    Rng rng(12);
+    const TZScheme carrying(fx.g, sopt, rng);
+    ASSERT_TRUE(carrying.label_codec().carries_distances());
+    expect_wire_labels_match_pool(carrying, FlatScheme(carrying));
+  }
+
   BitWriter w;
   codec.encode(pkg->tz->label(3), w);
-  {
-    BitReader r(w);
-    std::vector<FlatScheme::LabelEntryView> entries;
-    std::vector<Port> ports;
-    EXPECT_EQ(decode_wire_label(codec, n, r, entries, ports), VertexId{3});
-    EXPECT_EQ(r.position(), w.bit_size());
-    EXPECT_FALSE(entries.empty());
-  }
   // Truncated: cut the stream short and decode must throw, not read
   // out of bounds.
   {

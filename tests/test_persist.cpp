@@ -421,12 +421,13 @@ TEST(ArtifactStore, VertexCountMismatchIsRejectedWithReason) {
 TEST(ArtifactStore, OlderFormatArtifactsAreRejectedAsVersionSkew) {
   // Format 1 also stored the flat TZ pools; formats 1 and 2 carried the
   // serving-path and lookup-layout bytes of the deleted legacy path and
-  // FKS layout. A store holding either must reject it at the header with
-  // the reason recorded, and the service must fall back to a fresh build
-  // that says why.
+  // FKS layout; formats 1–3 carried the warm-start byte of the deleted
+  // scheme-file start. A store holding any of them must reject it at the
+  // header with the reason recorded, and the service must fall back to a
+  // fresh build that says why.
   const Graph g = test_graph(26, 150);
   RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
-  for (const char version : {'\x01', '\x02'}) {
+  for (const char version : {'\x01', '\x02', '\x03'}) {
     const std::string dir = scratch_dir("store_old_format");
     persist::ArtifactStore store({dir, 2});
     const persist::PublishResult pub =
@@ -569,20 +570,6 @@ TEST(PersistLifecycle, RebuildRetriesWithBackoffThenSurfaces) {
   // The service still serves the original generation.
   const std::vector<RouteQuery> queries = probe_queries(g, 200);
   EXPECT_EQ(svc.route_collect(queries).size(), queries.size());
-}
-
-TEST(PersistLifecycle, WarmStartWithNonTZSchemeIsAGracefulError) {
-  const Graph g = test_graph(23, 120);
-  RouteServiceOptions opt = base_options(SchemeKind::kCowen);
-  opt.warm_start_path = "/tmp/does_not_matter.bin";
-  try {
-    RouteService svc(g, opt);
-    FAIL() << "non-TZ warm start must be rejected";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("artifact-dir"), std::string::npos) << what;
-    EXPECT_NE(what.find("cowen"), std::string::npos) << what;
-  }
 }
 
 TEST(PersistLifecycle, PersistFailureIsCountedNotFatal) {

@@ -1,22 +1,21 @@
 // Tests for src/service/: the persistent ThreadPool, the sharded
 // RouteService (correctness against the single-threaded sim/ adapters,
-// determinism across thread counts, warm start), the traffic generators,
-// and the closed-loop driver. The multi-thread stress cases double as the
-// ThreadSanitizer workload in CI.
+// determinism across thread counts), the shared CLI parser, the traffic
+// generators, and the closed-loop driver. The multi-thread stress cases
+// double as the ThreadSanitizer workload in CI.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <vector>
 
-#include "core/scheme_io.hpp"
 #include "graph/dijkstra.hpp"
 #include "reference_walk.hpp"
+#include "service/cli.hpp"
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
@@ -206,32 +205,26 @@ TEST(RouteService, StretchRespectsSchemeBounds) {
   }
 }
 
-TEST(RouteService, WarmStartServesIdenticalAnswers) {
-  const ServiceFixture fx;
-  const std::vector<RouteQuery> queries = fx.queries();
-  RouteService cold(fx.g, service_options(SchemeKind::kTZDirect, 2));
-  ASSERT_NE(cold.tz_scheme(), nullptr);
-  const std::string path = "test_service_warm.bin";
-  save_scheme_file(path, *cold.tz_scheme());
-
-  RouteServiceOptions opt = service_options(SchemeKind::kTZDirect, 3);
-  opt.warm_start_path = path;
-  opt.seed = 12345;  // must be ignored on warm start
-  RouteService warm(fx.g, opt);
-
-  const std::vector<RouteAnswer> a = cold.route_collect(queries);
-  const std::vector<RouteAnswer> b = warm.route_collect(queries);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(same_route(a[i], b[i])) << "pair " << i;
+// The warm-start flag is gone. Flags ignores unknown names, so a script
+// still passing it would silently preprocess from scratch; the shared
+// parser must refuse it and name the flag that replaced it, in both
+// spellings Flags accepts.
+TEST(ServiceCli, RemovedWarmFlagFailsLoudly) {
+  const char* const joined[] = {"route_service", "--warm=s.bin", "--n=50"};
+  const char* const split[] = {"route_service", "--warm", "s.bin"};
+  for (const Flags& flags : {Flags(3, joined), Flags(3, split)}) {
+    try {
+      (void)parse_service_setup(flags);
+      FAIL() << "--warm must be rejected at parse";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--artifact-dir"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  std::remove(path.c_str());
-}
-
-TEST(RouteService, WarmStartRejectedForNonTZ) {
-  const ServiceFixture fx;
-  RouteServiceOptions opt = service_options(SchemeKind::kCowen, 1);
-  opt.warm_start_path = "whatever.bin";
-  EXPECT_THROW(RouteService(fx.g, opt), std::exception);
+  const char* const plain[] = {"route_service", "--n=50",
+                               "--artifact-dir=art"};
+  EXPECT_EQ(parse_service_setup(Flags(3, plain)).service.persist.dir, "art");
 }
 
 TEST(RouteService, TelemetryCountsServedQueries) {
