@@ -22,6 +22,7 @@
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
 #include "sim/experiment.hpp"
+#include "util/crc32c.hpp"
 #include "util/random.hpp"
 
 namespace croute {
@@ -255,6 +256,57 @@ TEST(IncrementalRebuild, ChainedDeltasStayByteIdentical) {
     ASSERT_EQ(save_scheme(fresh), save_scheme(incremental));
     current = std::move(incremental);
     current_graph = &next;
+  }
+}
+
+// --- golden bytes ---------------------------------------------------------
+
+// Every other byte-identity test compares two outputs of the same code
+// (incremental vs fresh, recovered vs fresh), so a change to the DFS
+// numbering or the light-port order on both sides would pass them all.
+// These constants pin the saved scheme itself. A deliberate format
+// change updates them together with the scheme file's version.
+struct GoldenCase {
+  const char* name;
+  GraphFamily family;
+  std::uint32_t k;
+  std::uint32_t fresh_crc;
+  std::uint32_t incremental_crc;
+};
+
+const GoldenCase kGoldenCases[] = {
+    {"er-k2", GraphFamily::kErdosRenyi, 2, 0x44ea5c22u, 0x23da1e15u},
+    {"er-k3", GraphFamily::kErdosRenyi, 3, 0x2d76b5ccu, 0xfb6960bau},
+    {"er-k4", GraphFamily::kErdosRenyi, 4, 0xa6394da1u, 0x2bc0f193u},
+    {"ba-k3", GraphFamily::kBarabasiAlbert, 3, 0xced65602u, 0x36937e57u},
+};
+
+std::uint32_t scheme_crc(const TZScheme& scheme) {
+  const std::string bytes = save_scheme(scheme);
+  return crc32c(bytes.data(), bytes.size());
+}
+
+TEST(GoldenScheme, SavedBytesMatchPinnedChecksums) {
+  for (const GoldenCase& c : kGoldenCases) {
+    SCOPED_TRACE(c.name);
+    Rng grng(7);
+    const Graph g0 = make_workload(c.family, 2000, grng);
+    TZSchemeOptions opt;
+    opt.pre.k = c.k;
+    Rng rf(8);
+    const TZScheme fresh(g0, opt, rf);
+
+    Rng drng(3);
+    const Graph g1 =
+        perturb_graph(g0, drng, DeltaOptions{0.001, 4.0, 0.0005, 0.0005});
+    Rng ri(8);
+    const TZScheme incremental =
+        rebuild_tz_incremental(fresh, g1, diff_graphs(g0, g1), opt, ri);
+
+    EXPECT_EQ(scheme_crc(fresh), c.fresh_crc)
+        << std::hex << "fresh crc 0x" << scheme_crc(fresh);
+    EXPECT_EQ(scheme_crc(incremental), c.incremental_crc)
+        << std::hex << "incremental crc 0x" << scheme_crc(incremental);
   }
 }
 
