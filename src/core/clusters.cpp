@@ -54,15 +54,18 @@ LocalTree TZPreprocessing::build_cluster(VertexId w) const {
   if (level + 1 >= k()) return canonical_top_tree(*g_, w);
   RestrictedDijkstra rd(*g_);
   auto guard_fn = [&](VertexId v) { return cluster_guard(level, v); };
-  return make_local_tree(rd.run(w, rank_[w], guard_fn));
+  std::vector<std::uint32_t> local_of(g_->num_vertices(), kNoLocal);
+  return make_local_tree(rd.run(w, rank_[w], guard_fn), local_of);
 }
 
 void TZPreprocessing::for_each_cluster(
     const std::function<void(VertexId, const LocalTree&)>& consumer) const {
-  // One shared restricted-Dijkstra workspace serves every sub-top-level
-  // cluster; top-level centers (few, whole-graph trees) each run a plain
-  // Dijkstra and the canonical tree construction instead.
+  // One shared restricted-Dijkstra workspace and one dense local-index
+  // array serve every sub-top-level cluster; top-level centers (few,
+  // whole-graph trees) each run a plain Dijkstra and the canonical tree
+  // construction instead.
   RestrictedDijkstra rd(*g_);
+  std::vector<std::uint32_t> local_of(g_->num_vertices(), kNoLocal);
   for (VertexId w = 0; w < g_->num_vertices(); ++w) {
     const std::uint32_t level = center_level(w);
     if (level + 1 >= k()) {
@@ -72,7 +75,8 @@ void TZPreprocessing::for_each_cluster(
       continue;
     }
     auto guard_fn = [&](VertexId v) { return cluster_guard(level, v); };
-    const LocalTree tree = make_local_tree(rd.run(w, rank_[w], guard_fn));
+    const LocalTree tree =
+        make_local_tree(rd.run(w, rank_[w], guard_fn), local_of);
     consumer(w, tree);
   }
 }

@@ -27,7 +27,8 @@
 /// stays in the reference structures (core/tz_tables.hpp); on the serving
 /// path the per-vertex slices win every measured row, because a walk's
 /// per-hop probes stay in cache where a global hash's slot arrays do not
-/// (bench_micro_decision; ROADMAP item 2 records the numbers).
+/// (bench_micro_decision; ROADMAP "Records", "One serving path", keeps
+/// the numbers).
 ///
 /// FlatRouter mirrors TZRouter::prepare (the paper's min-level rule) /
 /// prepare_handshake / step over the flat view with **zero heap

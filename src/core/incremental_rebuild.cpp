@@ -1,7 +1,6 @@
 #include "core/incremental_rebuild.hpp"
 
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "core/tz_build.hpp"
@@ -335,7 +334,9 @@ class IncrementalRebuilder {
     // bookkeeping costs more than it saves (the bytes are identical
     // either way — this is purely a cost cutover).
     const bool dynamic_top = delta.touched.size() * 8 < std::size_t{n};
-    std::unordered_map<VertexId, std::uint32_t> local_index;
+    // Dense VertexId → local-index scratch for make_local_tree and
+    // consume_cluster alike: each leaves it all kNoLocal on return.
+    std::vector<std::uint32_t> local_index(n, kNoLocal);
 
     // The fresh-construction consumer — the SAME code the fresh
     // constructor runs (core/tz_build.hpp), so the spliced and rebuilt
@@ -347,6 +348,14 @@ class IncrementalRebuilder {
                                 local_index, &fresh_contrib);
     };
 
+    // Per-branch time: one clock read per center, charged to the branch
+    // that center took.
+    auto t_branch = clock::now();
+    const auto charge = [&](double& branch_s) {
+      const auto now = clock::now();
+      branch_s += std::chrono::duration<double>(now - t_branch).count();
+      t_branch = now;
+    };
     for (VertexId w = 0; w < n; ++w) {
       const std::uint32_t level = pre.center_level(w);
       if (reuse[w]) {
@@ -372,6 +381,7 @@ class IncrementalRebuilder {
           out.labels_[t].entries[idx].tree = *copied;
           ++stats.labels_copied;
         }
+        charge(stats.sweep_splice_s);
         continue;
       }
 
@@ -387,6 +397,7 @@ class IncrementalRebuilder {
             top_updater.update(w, prev_members[w], stats);
         consume_fresh(w, level, make_canonical_spt(g, w, d));
         ++stats.top_trees_updated;
+        charge(stats.sweep_top_s);
         continue;
       }
       if (level + 1 >= k) {
@@ -394,6 +405,7 @@ class IncrementalRebuilder {
         // changed, or the previous hierarchy differs): fresh path.
         consume_fresh(w, level, make_canonical_spt(g, w, dijkstra(g, w).dist));
         stats.fresh_settled += n;
+        charge(stats.sweep_top_s);
         continue;
       }
 
@@ -403,9 +415,10 @@ class IncrementalRebuilder {
       // their cluster size anyway).
       auto guard_fn = [&](VertexId v) { return pre.cluster_guard(level, v); };
       const LocalTree tree =
-          make_local_tree(rd.run(w, pre.rank()[w], guard_fn));
+          make_local_tree(rd.run(w, pre.rank()[w], guard_fn), local_index);
       stats.fresh_settled += tree.size();
       consume_fresh(w, level, tree);
+      charge(stats.sweep_lower_s);
     }
     stats.sweep_s = seconds_since(t_sweep);
 

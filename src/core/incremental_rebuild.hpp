@@ -94,6 +94,10 @@ struct IncrementalRebuildStats {
   double pre_s = 0;       ///< rank + hierarchy sampling + pivots (fresh)
   double analysis_s = 0;  ///< dirty flags + reuse decisions
   double sweep_s = 0;     ///< splice + invalidated-root Dijkstras
+  /// sweep_s by branch (the loop's share; sweep_s adds its setup):
+  double sweep_top_s = 0;     ///< top-level distance update, tree, consume
+  double sweep_lower_s = 0;   ///< lower-level restricted re-runs, consume
+  double sweep_splice_s = 0;  ///< reused trees spliced from the previous
   double finalize_s = 0;  ///< table/label finalization
   double total_s = 0;
 

@@ -41,8 +41,7 @@ CROUTE_DETERMINISTIC void consume_cluster(VertexId w, std::uint32_t level,
                      std::vector<ClusterDirectory>& dirs,
                      std::vector<RoutingLabel>& labels,
                      const NeededLabels& needed,
-                     std::unordered_map<VertexId, std::uint32_t>&
-                         local_index_scratch,
+                     std::vector<std::uint32_t>& local_index,
                      std::vector<std::uint8_t>* fresh_contrib) {
   const TreeRoutingScheme trs(tree);
   // Rule-0 directories exist only for level-0 centers. For a landmark
@@ -61,26 +60,25 @@ CROUTE_DETERMINISTIC void consume_cluster(VertexId w, std::uint32_t level,
     e.level = level;
     e.dist = tree.dist[i];
     e.record = trs.record(i);
-    const TreeLabel& own = trs.label(i);
+    const std::span<const Port> own = trs.light_ports(i);
     e.light_off = static_cast<std::uint32_t>(pt.light_pool.size());
-    e.light_len = static_cast<std::uint32_t>(own.light_ports.size());
-    pt.light_pool.insert(pt.light_pool.end(), own.light_ports.begin(),
-                         own.light_ports.end());
+    e.light_len = static_cast<std::uint32_t>(own.size());
+    pt.light_pool.insert(pt.light_pool.end(), own.begin(), own.end());
     pt.entries.push_back(std::move(e));
     if (fresh_contrib != nullptr) (*fresh_contrib)[v] = 1;
   }
   if (!needed[w].empty()) {
-    local_index_scratch.clear();
     for (std::uint32_t i = 0; i < tree.size(); ++i) {
-      local_index_scratch.emplace(tree.global[i], i);
+      local_index[tree.global[i]] = i;
     }
     for (const auto& [t, entry_idx] : needed[w]) {
-      const auto it = local_index_scratch.find(t);
-      CROUTE_ASSERT(it != local_index_scratch.end(),
+      const std::uint32_t i = local_index[t];
+      CROUTE_ASSERT(i != kNoLocal,
                     "label references a tree that misses its destination "
                     "(effective-pivot invariant violated)");
-      labels[t].entries[entry_idx].tree = trs.label(it->second);
+      labels[t].entries[entry_idx].tree = trs.label(i);
     }
+    for (const VertexId v : tree.global) local_index[v] = kNoLocal;
   }
 }
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,8 +54,11 @@ NeededLabels label_skeletons(const TZPreprocessing& pre,
 /// The fresh-construction consumer for one cluster tree T_w: build the
 /// tree-routing structures, record the rule-0 directory (level 0),
 /// scatter every member's table entry into \p pending, and extract the
-/// labels \p needed from this tree. \p local_index_scratch is reused
-/// across calls; \p fresh_contrib (optional) marks vertices that
+/// labels \p needed from this tree. \p local_index is the sweep's dense
+/// VertexId → local-index array: n entries, all kNoLocal between calls.
+/// A tree that some label needs sets it for its members and resets it
+/// before returning, so one array serves the whole sweep without a
+/// per-tree map. \p fresh_contrib (optional) marks vertices that
 /// received a freshly built entry.
 void consume_cluster(VertexId w, std::uint32_t level, const LocalTree& tree,
                      const TreeRoutingScheme::Codec& tree_codec,
@@ -65,8 +67,7 @@ void consume_cluster(VertexId w, std::uint32_t level, const LocalTree& tree,
                      std::vector<ClusterDirectory>& dirs,
                      std::vector<RoutingLabel>& labels,
                      const NeededLabels& needed,
-                     std::unordered_map<VertexId, std::uint32_t>&
-                         local_index_scratch,
+                     std::vector<std::uint32_t>& local_index,
                      std::vector<std::uint8_t>* fresh_contrib = nullptr);
 
 }  // namespace tz_build

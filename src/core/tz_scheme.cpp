@@ -1,7 +1,5 @@
 #include "core/tz_scheme.hpp"
 
-#include <unordered_map>
-
 #include "core/tz_build.hpp"
 
 namespace croute {
@@ -27,9 +25,13 @@ CROUTE_DETERMINISTIC TZScheme::TZScheme(const Graph& g,
 
   // ---- cluster sweep: build T_w, scatter records, extract labels, and
   //      record w's cluster directory (rule-0 routing state).
+  // Every top-level cluster spans V, so each vertex receives exactly one
+  // entry per center in A_{k-1}: a lower bound on every table's size.
   std::vector<tz_build::PendingTable> pending(n);
+  const std::size_t top_centers = pre_.hierarchy().levels[pre_.k() - 1].size();
+  for (tz_build::PendingTable& pt : pending) pt.entries.reserve(top_centers);
   dirs_.resize(n);
-  std::unordered_map<VertexId, std::uint32_t> local_index;
+  std::vector<std::uint32_t> local_index(n, kNoLocal);
   pre_.for_each_cluster([&](VertexId w, const LocalTree& tree) {
     tz_build::consume_cluster(w, pre_.center_level(w), tree, tree_codec_,
                               id_bits, pending, dirs_, labels_, needed,

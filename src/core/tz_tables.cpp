@@ -64,15 +64,18 @@ ClusterDirectory::ClusterDirectory(const LocalTree& tree,
   ts_.resize(n);
   dfs_.resize(n);
   light_off_.resize(std::size_t{n} + 1, 0);
+  std::size_t pool_size = 0;
+  for (std::uint32_t i = 0; i < n; ++i) pool_size += trs.light_ports(i).size();
+  pool_.reserve(pool_size);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t local = order[i];
-    const TreeLabel& l = trs.label(local);
+    const std::span<const Port> ports = trs.light_ports(local);
     ts_[i] = tree.global[local];
-    dfs_[i] = l.dfs_in;
+    dfs_[i] = trs.record(local).dfs_in;
     light_off_[i] = static_cast<std::uint32_t>(pool_.size());
-    pool_.insert(pool_.end(), l.light_ports.begin(), l.light_ports.end());
-    bit_size_ += vertex_id_bits +
-                 TreeRoutingScheme::label_bits(l.light_ports.size(), codec);
+    pool_.insert(pool_.end(), ports.begin(), ports.end());
+    bit_size_ +=
+        vertex_id_bits + TreeRoutingScheme::label_bits(ports.size(), codec);
   }
   light_off_[n] = static_cast<std::uint32_t>(pool_.size());
 }

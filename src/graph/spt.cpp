@@ -4,7 +4,8 @@
 
 namespace croute {
 
-LocalTree make_local_tree(const std::vector<ClusterVertex>& members) {
+LocalTree make_local_tree(const std::vector<ClusterVertex>& members,
+                          std::vector<std::uint32_t>& local_of) {
   CROUTE_REQUIRE(!members.empty(), "cannot build a tree from no vertices");
   LocalTree t;
   const std::uint32_t size = static_cast<std::uint32_t>(members.size());
@@ -13,10 +14,9 @@ LocalTree make_local_tree(const std::vector<ClusterVertex>& members) {
   t.parent_port.resize(size);
   t.down_port.resize(size);
   t.dist.resize(size);
-  std::unordered_map<VertexId, std::uint32_t> local;
-  local.reserve(size * 2);
   for (std::uint32_t i = 0; i < size; ++i) {
     const ClusterVertex& m = members[i];
+    CROUTE_ASSERT(m.v < local_of.size(), "member id outside local_of");
     t.global[i] = m.v;
     t.dist[i] = m.dist;
     t.parent_port[i] = m.parent_port;
@@ -25,14 +25,15 @@ LocalTree make_local_tree(const std::vector<ClusterVertex>& members) {
       CROUTE_ASSERT(i == 0, "only the center may lack a parent");
       t.parent[i] = kNoLocal;
     } else {
-      const auto it = local.find(m.parent);
-      CROUTE_ASSERT(it != local.end(),
+      CROUTE_ASSERT(m.parent < local_of.size() && local_of[m.parent] != kNoLocal,
                     "settle order violated: parent not seen before child");
-      t.parent[i] = it->second;
+      t.parent[i] = local_of[m.parent];
     }
-    const bool inserted = local.emplace(m.v, i).second;
-    CROUTE_ASSERT(inserted, "duplicate vertex in cluster membership");
+    CROUTE_ASSERT(local_of[m.v] == kNoLocal,
+                  "duplicate vertex in cluster membership");
+    local_of[m.v] = i;
   }
+  for (const VertexId v : t.global) local_of[v] = kNoLocal;
   return t;
 }
 
@@ -56,7 +57,8 @@ LocalTree make_local_tree(const ShortestPathTree& spt) {
             });
   // With zero-weight-free graphs, (dist, root-first) ordering puts every
   // parent strictly before its children because parent.dist < child.dist.
-  return make_local_tree(members);
+  std::vector<std::uint32_t> local_of(spt.dist.size(), kNoLocal);
+  return make_local_tree(members, local_of);
 }
 
 CROUTE_DETERMINISTIC LocalTree make_canonical_spt(const Graph& g,

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -37,8 +36,12 @@ struct LocalTree {
 
 /// Builds a LocalTree from the members of a restricted Dijkstra run
 /// (settle order guarantees parents precede children). members[0] is the
-/// center and becomes the root.
-LocalTree make_local_tree(const std::vector<ClusterVertex>& members);
+/// center and becomes the root. \p local_of is a dense VertexId →
+/// local-index array the caller owns: sized past every member id and
+/// all kNoLocal on entry, and left that way on return, so one array
+/// serves a whole sweep of clusters.
+LocalTree make_local_tree(const std::vector<ClusterVertex>& members,
+                          std::vector<std::uint32_t>& local_of);
 
 /// Builds a LocalTree spanning all reached vertices of a full SPT.
 LocalTree make_local_tree(const ShortestPathTree& spt);

@@ -49,7 +49,13 @@ void emit_rebuild_spans(obs::TraceRecorder& trace, const SchemePackage& pkg,
       e.arg_value[2] = static_cast<double>(inc.top_update_pops);
       if (inc.sweep_s > 0) {
         trace.record(e);
-        at += inc.sweep_s * 1e6;
+        // The sweep's branches, back to back inside it. Their own
+        // category keeps "rebuild.tz" summing to the telemetry's total.
+        const double sweep_end_us = at + inc.sweep_s * 1e6;
+        emit("sweep_top", "rebuild.sweep", inc.sweep_top_s);
+        emit("sweep_lower", "rebuild.sweep", inc.sweep_lower_s);
+        emit("sweep_splice", "rebuild.sweep", inc.sweep_splice_s);
+        at = sweep_end_us;
       }
     }
     emit("finalize", "rebuild.tz", inc.finalize_s);

@@ -100,7 +100,7 @@ RouteResult route_tree(const Simulator& sim, const LocalTree& tree,
   for (std::uint32_t i = 0; i < tree.size(); ++i) {
     local_of.emplace(tree.global[i], i);
   }
-  const TreeLabel& dest = trs.label(t);
+  const TreeLabel dest = trs.label(t);
   const TreeRoutingScheme::Codec codec(tree.size(),
                                        sim.graph().max_degree());
   return sim.run(

@@ -10,10 +10,16 @@
 ///  - a DFS numbering in which each node's heavy child is visited first
 ///    and remaining children are visited in decreasing subtree size, and
 ///  - the light depth of each node (number of light edges on its root path).
+///
+/// Layout: one array per field, indexed by local id, plus the visit order
+/// as one CSR array (a copy of Tree's children array with each node's
+/// slice sorted heavy-first). The decomposition owns all of it, so it
+/// may outlive the Tree it was built from.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tree/tree.hpp"
@@ -49,8 +55,8 @@ class HeavyPathDecomposition {
   }
 
   /// Children of v in visit order (heavy first, then decreasing size).
-  const std::vector<std::uint32_t>& visit_order(std::uint32_t v) const {
-    return visit_children_[v];
+  std::span<const std::uint32_t> visit_order(std::uint32_t v) const {
+    return {visit_.data() + visit_off_[v], visit_off_[v + 1] - visit_off_[v]};
   }
 
   /// Max light depth over all nodes (the scheme's label-length driver).
@@ -64,7 +70,8 @@ class HeavyPathDecomposition {
   std::vector<std::uint32_t> dfs_in_;
   std::vector<std::uint32_t> dfs_out_;
   std::vector<std::uint32_t> order_;
-  std::vector<std::vector<std::uint32_t>> visit_children_;
+  std::vector<std::uint32_t> visit_off_;  ///< n+1 offsets into visit_
+  std::vector<std::uint32_t> visit_;      ///< children, heavy-first per node
   std::uint32_t max_light_depth_ = 0;
 };
 

@@ -32,7 +32,7 @@ IntervalTreeScheme::IntervalTreeScheme(const LocalTree& local) {
   starts_.assign(start_offset_[n_], 0);
   graph_port_.assign(port_offset_[n_], kNoPort);
   for (std::uint32_t v = 0; v < n_; ++v) {
-    const auto& kids = hpd.visit_order(v);
+    const auto kids = hpd.visit_order(v);
     // Port 0: parent (kNoPort at the root — never used by decide()).
     graph_port_[port_offset_[v]] = local.parent_port[v];
     for (std::uint32_t i = 0; i < kids.size(); ++i) {

@@ -8,8 +8,10 @@ Tree::Tree(std::vector<std::uint32_t> parent) : parent_(std::move(parent)) {
   const std::uint32_t n = size();
   CROUTE_REQUIRE(n >= 1, "a tree needs at least one node");
 
-  // Locate the root and count children.
-  std::vector<std::uint32_t> child_count(n, 0);
+  // Locate the root and count children: child_offset_[p + 2] counts p's
+  // children, so after the prefix sum child_offset_[p + 1] is where p's
+  // slice starts and the fill below can advance it in place.
+  child_offset_.assign(std::size_t{n} + 2, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
     if (parent_[v] == kNoLocal) {
       CROUTE_REQUIRE(root_ == kNoLocal, "multiple roots in parent array");
@@ -17,31 +19,28 @@ Tree::Tree(std::vector<std::uint32_t> parent) : parent_(std::move(parent)) {
     } else {
       CROUTE_REQUIRE(parent_[v] < n, "parent index out of range");
       CROUTE_REQUIRE(parent_[v] != v, "self-parent");
-      ++child_count[parent_[v]];
+      ++child_offset_[parent_[v] + 2];
     }
   }
   CROUTE_REQUIRE(root_ != kNoLocal, "no root in parent array");
-
-  child_offset_.assign(n + 1, 0);
+  for (std::size_t i = 2; i < child_offset_.size(); ++i) {
+    child_offset_[i] += child_offset_[i - 1];
+  }
+  // Ascending ids per parent: the fill emits ascending v.
+  children_.resize(n - 1);
   for (std::uint32_t v = 0; v < n; ++v) {
-    child_offset_[v + 1] = child_offset_[v] + child_count[v];
+    if (parent_[v] != kNoLocal) children_[child_offset_[parent_[v] + 1]++] = v;
   }
-  children_.assign(child_offset_[n], 0);
-  {
-    std::vector<std::size_t> cursor(child_offset_.begin(),
-                                    child_offset_.end() - 1);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (parent_[v] != kNoLocal) children_[cursor[parent_[v]]++] = v;
-    }
-    // Ascending ids per parent: the fill above already emits ascending v.
-  }
+  child_offset_.pop_back();  // now child_offset_[v] is v's slice start
 
   // Iterative preorder; also computes depth and detects cycles (a node
   // reachable from the root count must equal n).
   depth_.assign(n, 0);
   preorder_.clear();
   preorder_.reserve(n);
-  std::vector<std::uint32_t> stack{root_};
+  std::vector<std::uint32_t> stack;
+  stack.reserve(n);
+  stack.push_back(root_);
   while (!stack.empty()) {
     const std::uint32_t v = stack.back();
     stack.pop_back();

@@ -38,7 +38,7 @@ class Tree {
             child_offset_[v + 1] - child_offset_[v]};
   }
   std::uint32_t num_children(std::uint32_t v) const {
-    return static_cast<std::uint32_t>(child_offset_[v + 1] - child_offset_[v]);
+    return child_offset_[v + 1] - child_offset_[v];
   }
   bool is_leaf(std::uint32_t v) const { return num_children(v) == 0; }
 
@@ -57,7 +57,7 @@ class Tree {
 
  private:
   std::vector<std::uint32_t> parent_;
-  std::vector<std::size_t> child_offset_;
+  std::vector<std::uint32_t> child_offset_;  ///< n+1 offsets into children_
   std::vector<std::uint32_t> children_;
   std::vector<std::uint32_t> depth_;
   std::vector<std::uint32_t> size_;

@@ -7,8 +7,9 @@ TreeRoutingScheme::TreeRoutingScheme(const LocalTree& local) {
   const HeavyPathDecomposition hpd(tree);
   const std::uint32_t n = tree.size();
   records_.resize(n);
-  labels_.resize(n);
+  light_off_.resize(n);
 
+  std::uint64_t pool_size = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
     TreeNodeRecord& r = records_[v];
     r.dfs_in = hpd.dfs_in(v);
@@ -24,35 +25,36 @@ TreeRoutingScheme::TreeRoutingScheme(const LocalTree& local) {
       r.heavy_in = r.heavy_out = 0;  // empty interval
       r.heavy_port = kNoPort;
     }
+    if (hpd.is_light(v)) pool_size += r.light_depth;
   }
+  CROUTE_REQUIRE(pool_size <= ~std::uint32_t{0},
+                 "light-port pool exceeds its 32-bit offsets");
 
-  // Labels along the heavy-first preorder: maintain the stack of light
-  // ports taken on the root path.
-  std::vector<Port> light_stack;
-  // Iterative DFS mirroring HeavyPathDecomposition's visit order.
-  struct Frame {
-    std::uint32_t node;
-    std::uint32_t next_child;
-  };
-  std::vector<Frame> stack;
-  const std::uint32_t root = tree.root();
-  labels_[root] = TreeLabel{hpd.dfs_in(root), {}};
-  stack.push_back(Frame{root, 0});
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    const auto& kids = hpd.visit_order(f.node);
-    if (f.next_child < kids.size()) {
-      const std::uint32_t c = kids[f.next_child++];
-      if (hpd.is_light(c)) light_stack.push_back(local.down_port[c]);
-      labels_[c].dfs_in = hpd.dfs_in(c);
-      labels_[c].light_ports = light_stack;
-      stack.push_back(Frame{c, 0});
-    } else {
-      const std::uint32_t v = f.node;
-      stack.pop_back();
-      if (v != root && hpd.is_light(v)) light_stack.pop_back();
+  // Light ports in heavy-first preorder (parents before children). The
+  // pool is reserved to its final size, so reading a parent's slice while
+  // appending never reallocates under the reader.
+  light_pool_.reserve(pool_size);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t v = hpd.node_at(i);
+    if (tree.is_root(v)) continue;  // empty slice at offset 0
+    const std::uint32_t p = tree.parent(v);
+    if (!hpd.is_light(v)) {
+      light_off_[v] = light_off_[p];
+      continue;
     }
+    light_off_[v] = static_cast<std::uint32_t>(light_pool_.size());
+    for (std::uint32_t j = 0; j < records_[p].light_depth; ++j) {
+      const Port inherited = light_pool_[light_off_[p] + j];
+      light_pool_.push_back(inherited);
+    }
+    light_pool_.push_back(local.down_port[v]);
   }
+  CROUTE_ASSERT(light_pool_.size() == pool_size, "light-port pool miscounted");
+}
+
+TreeLabel TreeRoutingScheme::label(std::uint32_t local) const {
+  const std::span<const Port> ports = light_ports(local);
+  return TreeLabel{records_[local].dfs_in, {ports.begin(), ports.end()}};
 }
 
 TreeDecision TreeRoutingScheme::decide(const TreeNodeRecord& here,

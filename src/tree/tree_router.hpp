@@ -24,10 +24,20 @@
 /// store one NodeRecord per (vertex, cluster-tree) pair in their routing
 /// tables and one Label per (destination, pivot-tree) pair in their
 /// address labels.
+///
+/// Layout: a TreeRoutingScheme keeps one record per node and the light
+/// halves of all labels in one Port pool per tree, filled in heavy-first
+/// preorder. A heavy child's light ports equal its parent's, so it shares
+/// the parent's slice; a light child appends the parent's ports plus its
+/// own down port. Each node stores one 32-bit offset into the pool, and
+/// its slice length is its record's light_depth. The graph-scheme build
+/// copies slices straight into its own pools; label() materializes a
+/// TreeLabel for callers that want one.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/spt.hpp"
@@ -75,7 +85,18 @@ class TreeRoutingScheme {
   const TreeNodeRecord& record(std::uint32_t local) const {
     return records_[local];
   }
-  const TreeLabel& label(std::uint32_t local) const { return labels_[local]; }
+
+  /// Graph ports of \p local's label: one per light edge on its root
+  /// path, root side first. A slice of the tree's pool, valid while the
+  /// scheme lives; its length is record(local).light_depth.
+  std::span<const Port> light_ports(std::uint32_t local) const {
+    return {light_pool_.data() + light_off_[local],
+            records_[local].light_depth};
+  }
+
+  /// The label of \p local, materialized: {record(local).dfs_in,
+  /// light_ports(local)}.
+  TreeLabel label(std::uint32_t local) const;
 
   /// O(1) routing decision (static: needs only the two arguments).
   static TreeDecision decide(const TreeNodeRecord& here, const TreeLabel& dest);
@@ -107,7 +128,8 @@ class TreeRoutingScheme {
 
  private:
   std::vector<TreeNodeRecord> records_;
-  std::vector<TreeLabel> labels_;
+  std::vector<std::uint32_t> light_off_;  ///< per node: slice start in pool
+  std::vector<Port> light_pool_;          ///< see the file comment
 };
 
 }  // namespace croute

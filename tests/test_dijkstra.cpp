@@ -320,7 +320,8 @@ TEST(LocalTree, FromClusterRun) {
   RestrictedDijkstra rd(g);
   auto no_guard = [](VertexId) { return LexDist{}; };
   const auto run = rd.run(5, rank[5], no_guard);
-  const LocalTree t = make_local_tree(run);
+  std::vector<std::uint32_t> local_of(g.num_vertices(), kNoLocal);
+  const LocalTree t = make_local_tree(run, local_of);
   ASSERT_EQ(t.size(), run.size());
   EXPECT_EQ(t.root(), 5u);
   EXPECT_EQ(t.parent[0], kNoLocal);

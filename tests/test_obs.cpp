@@ -433,15 +433,35 @@ TEST(ServiceObs, RebuildTraceSpansSumToTelemetryAttribution) {
   ASSERT_NE(service.trace_recorder(), nullptr);
   double tz_span_s = 0;
   bool saw_rebuild = false, saw_publish = false;
-  for (const obs::TraceEvent& e : service.trace_recorder()->events()) {
+  const std::vector<obs::TraceEvent> events =
+      service.trace_recorder()->events();
+  const obs::TraceEvent* sweep = nullptr;
+  for (const obs::TraceEvent& e : events) {
     if (std::string(e.cat) == "rebuild.tz") tz_span_s += e.dur_us / 1e6;
     if (std::string(e.name) == "rebuild") saw_rebuild = true;
     if (std::string(e.name) == "publish_flip") saw_publish = true;
+    if (std::string(e.name) == "cluster_sweep") sweep = &e;
   }
   EXPECT_TRUE(saw_rebuild);
   EXPECT_TRUE(saw_publish);
   EXPECT_NEAR(tz_span_s, tel.incremental_preprocess_seconds,
               0.1 * tel.incremental_preprocess_seconds + 1e-6);
+
+  // The sweep's branch children lie inside cluster_sweep and account for
+  // its duration.
+  ASSERT_NE(sweep, nullptr);
+  double children_us = 0;
+  int children = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (std::string(e.cat) != "rebuild.sweep") continue;
+    ++children;
+    children_us += e.dur_us;
+    EXPECT_GE(e.ts_us, sweep->ts_us) << e.name;
+    EXPECT_LE(e.ts_us + e.dur_us, sweep->ts_us + sweep->dur_us + 1e-3)
+        << e.name;
+  }
+  EXPECT_GT(children, 0);
+  EXPECT_NEAR(children_us, sweep->dur_us, 0.1 * sweep->dur_us);
 }
 
 TEST(ServiceObs, BatchEngineOccupancySampling) {

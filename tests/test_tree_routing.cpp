@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
@@ -88,6 +91,47 @@ TEST_P(TreeRoutingSweep, AllPairsExactDesignerPort) {
       ASSERT_TRUE(r.delivered()) << c.family << " n=" << c.n;
       ASSERT_NEAR(r.length, ds[tree.global[t]], 1e-9);
     }
+  }
+}
+
+// The pooled label against its definition: the down ports of the light
+// edges on the root → v path, root side first. Light means not the child
+// with the largest subtree (ties to the smallest local id). Sizes and
+// heavy children are recomputed here from the parent array alone.
+TEST_P(TreeRoutingSweep, PooledLabelMatchesBruteForceDefinition) {
+  const TreeCase c = GetParam();
+  const Graph g = make_tree_graph(c);
+  const LocalTree tree = span(g, 0);
+  const TreeRoutingScheme trs(tree);
+  const std::uint32_t n = tree.size();
+
+  std::vector<std::uint32_t> size(n, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (std::uint32_t u = v; u != kNoLocal; u = tree.parent[u]) ++size[u];
+  }
+  std::vector<std::uint32_t> heavy(n, kNoLocal);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint32_t p = tree.parent[v];
+    if (p == kNoLocal) continue;
+    const std::uint32_t h = heavy[p];
+    if (h == kNoLocal || size[v] > size[h] || (size[v] == size[h] && v < h)) {
+      heavy[p] = v;
+    }
+  }
+
+  for (std::uint32_t v = 0; v < n; ++v) {
+    std::vector<Port> expected;
+    for (std::uint32_t u = v; tree.parent[u] != kNoLocal; u = tree.parent[u]) {
+      if (heavy[tree.parent[u]] != u) expected.push_back(tree.down_port[u]);
+    }
+    std::reverse(expected.begin(), expected.end());
+
+    const std::span<const Port> got = trs.light_ports(v);
+    ASSERT_EQ(std::vector<Port>(got.begin(), got.end()), expected)
+        << c.family << " n=" << c.n << " v=" << v;
+    ASSERT_EQ(got.size(), trs.record(v).light_depth) << "v=" << v;
+    ASSERT_EQ(trs.label(v), (TreeLabel{trs.record(v).dfs_in, expected}))
+        << "v=" << v;
   }
 }
 
