@@ -9,7 +9,7 @@
 ///
 /// ```
 /// ./route_service --scheme=tz --workload=hotspot --threads=4 --seed=7
-/// ./route_service --family=ba --n=20000 --scheme=cowen --workload=gravity
+/// ./route_service --family=ba --n=20000 --scheme=tz-handshake --workload=gravity
 /// ./route_service --graph=g.gr --artifact-dir=art --workload=far
 /// ./route_service --workload=hotspot --churn=3     # hot-swap under load
 /// ./route_service --listen --port=4800             # network serving

@@ -76,27 +76,6 @@ class CowenScheme {
     return landmarks_;
   }
 
-  /// --- raw preprocessing views (the flat/pooled compiler reads these) ---
-  /// Flattened clusters as CSR: per vertex, member ids sorted ascending
-  /// with the first-hop port alongside.
-  std::span<const std::uint64_t> cluster_offsets() const noexcept {
-    return cluster_offset_;
-  }
-  std::span<const VertexId> cluster_targets() const noexcept {
-    return cluster_t_;
-  }
-  std::span<const Port> cluster_first_ports() const noexcept {
-    return cluster_port_;
-  }
-  /// Row-major n × |landmarks()|: port at v toward landmark column j.
-  std::span<const Port> landmark_ports() const noexcept {
-    return landmark_port_;
-  }
-  /// Column of landmark \p ell in landmark_ports(), or ~0u.
-  std::uint32_t landmark_column(VertexId ell) const noexcept {
-    return landmark_index_[ell];
-  }
-
   /// |C(v)| for every v (for T1's table-skew story).
   std::vector<std::uint32_t> cluster_sizes() const;
 

@@ -38,11 +38,6 @@ class FullTableScheme {
   /// Table size: (n-1) port entries of ceil(log2 deg(v)) bits each.
   std::uint64_t table_bits(VertexId v) const;
 
-  /// Surrenders the n×n hop matrix (row per source). For the pooled
-  /// serving view, which takes the matrix over instead of copying O(n²)
-  /// ports; *this is empty afterwards.
-  std::vector<Port> release_hops() && noexcept { return std::move(hops_); }
-
   /// Address labels are plain vertex ids.
   std::uint64_t label_bits() const;
 

@@ -52,21 +52,7 @@ CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
   CROUTE_REQUIRE(queries.size() == answers.size(),
                  "answers must be pre-sized to the query count");
   CROUTE_REQUIRE(target.graph != nullptr, "batch target needs a graph");
-  switch (target.kind) {
-    case FlatServeKind::kTZDirect:
-    case FlatServeKind::kTZHandshake:
-      CROUTE_REQUIRE(target.flat != nullptr,
-                     "TZ batch target needs the flat view");
-      break;
-    case FlatServeKind::kCowen:
-      CROUTE_REQUIRE(target.cowen != nullptr,
-                     "Cowen batch target needs the pooled view");
-      break;
-    case FlatServeKind::kFullTable:
-      CROUTE_REQUIRE(target.full != nullptr,
-                     "full-table batch target needs the pooled view");
-      break;
-  }
+  CROUTE_REQUIRE(target.flat != nullptr, "batch target needs the flat view");
   if (queries.empty()) return;
 
   const Graph& g = *target.graph;
@@ -104,56 +90,34 @@ CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
         finish(lane, answers[lane.qi], RouteStatus::kDelivered, path_arena);
         continue;
       }
-      switch (target.kind) {
-        case FlatServeKind::kTZDirect:
-          CROUTE_REQUIRE(!q.label.empty(), "malformed destination label");
-          lane.lab_it = q.label.data();
-          lane.lab_end = q.label.data() + q.label.size();
-          lane.lab_pool = q.light_pool != nullptr
-                              ? q.light_pool
-                              : target.flat->label_light_pool();
-          CROUTE_PREFETCH(lane.lab_it);
-          lane.probe = FlatScheme::FindProbe{q.s, q.t};
-          target.flat->dir_find_stage0(lane.probe);
-          break;
-        case FlatServeKind::kTZHandshake:
-          lane.hs_u = q.s;
-          lane.hs_v = q.t;
-          lane.hs_w = q.s;  // ŵ_0(u) = u
-          lane.hs_i = 0;
-          lane.hs_done = false;
-          lane.probe = FlatScheme::FindProbe{lane.hs_v, lane.hs_w};
-          target.flat->find_stage0(lane.probe);
-          break;
-        case FlatServeKind::kCowen:
-          lane.bits = target.cowen->label_bits();
-          target.cowen->prefetch_label(q.t);
-          break;
-        case FlatServeKind::kFullTable:
-          lane.bits = target.full->label_bits();
-          target.full->prefetch_hop(q.s, q.t);
-          g.prefetch_offsets(q.s);
-          break;
+      if (target.kind == FlatServeKind::kTZDirect) {
+        CROUTE_REQUIRE(!q.label.empty(), "malformed destination label");
+        lane.lab_it = q.label.data();
+        lane.lab_end = q.label.data() + q.label.size();
+        lane.lab_pool = q.light_pool != nullptr
+                            ? q.light_pool
+                            : target.flat->label_light_pool();
+        CROUTE_PREFETCH(lane.lab_it);
+        lane.probe = FlatScheme::FindProbe{q.s, q.t};
+        target.flat->dir_find_stage0(lane.probe);
+      } else {
+        lane.hs_u = q.s;
+        lane.hs_v = q.t;
+        lane.hs_w = q.s;  // ŵ_0(u) = u
+        lane.hs_i = 0;
+        lane.hs_done = false;
+        lane.probe = FlatScheme::FindProbe{lane.hs_v, lane.hs_w};
+        target.flat->find_stage0(lane.probe);
       }
       live_[live_count_++] = j;
     }
 
-    switch (target.kind) {
-      case FlatServeKind::kTZDirect:
-        prepare_tz_direct(target);
-        walk_tz(target, answers, path_arena, max_hops);
-        break;
-      case FlatServeKind::kTZHandshake:
-        prepare_tz_handshake(target);
-        walk_tz(target, answers, path_arena, max_hops);
-        break;
-      case FlatServeKind::kCowen:
-        walk_cowen(target, answers, path_arena, max_hops);
-        break;
-      case FlatServeKind::kFullTable:
-        walk_full(target, answers, path_arena, max_hops);
-        break;
+    if (target.kind == FlatServeKind::kTZDirect) {
+      prepare_tz_direct(target);
+    } else {
+      prepare_tz_handshake(target);
     }
+    walk_tz(target, answers, path_arena, max_hops);
 
     // Each query's latency is its amortized share of the generation's
     // wall time (the lanes ran interleaved; per-lane wall time would
@@ -415,136 +379,6 @@ CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
       }
       lane.probe = FlatScheme::FindProbe{lane.here, lane.root};
       f->find_stage0(lane.probe);
-      g.prefetch_offsets(lane.here);
-      ++pos;
-    }
-  }
-}
-
-CROUTE_HOT void FlatBatchEngine::walk_cowen(
-    const FlatBatchTarget& target, std::span<FlatBatchAnswer> answers,
-    std::vector<VertexId>* path_arena, std::uint32_t max_hops) {
-  const FlatCowen* c = target.cowen;
-  const Graph& g = *target.graph;
-  // Resolve labels (prefetched at init) and issue the first prefetches.
-  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-    Lane& lane = lanes_[live_[pos]];
-    lane.cl = c->label(lane.t);
-    c->prefetch_meta(lane.here, lane.cl);
-    g.prefetch_offsets(lane.here);
-  }
-  while (live_count_ > 0) {
-    // A: deliver check + cluster slice metadata → key prefetch.
-    for (std::uint32_t pos = 0; pos < live_count_;) {
-      Lane& lane = lanes_[live_[pos]];
-      if (lane.here == lane.t) {
-        finish(lane, answers[lane.qi], RouteStatus::kDelivered, path_arena);
-        retire(pos);
-        continue;
-      }
-      c->load_slice(lane.here, lane.probe.off, lane.probe.len);
-      ++pos;
-    }
-    // B: cluster probe — all lanes in one SIMD kernel call; hits
-    // prefetch their exact first-hop port.
-    batch_.clear();
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      Lane& lane = lanes_[live_[pos]];
-      batch_.push_slice(lane.probe.off, lane.probe.len, lane.t);
-    }
-    c->find_at_batch(batch_);
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      Lane& lane = lanes_[live_[pos]];
-      lane.pool_idx = batch_.out[pos];
-      if (lane.pool_idx != FlatCowen::kNotFound) {
-        c->prefetch_cluster_port(lane.pool_idx);
-      }
-    }
-    // C: the per-hop decision (same order as FlatCowen::step): exact
-    // cluster hop, else the label's home port, else toward the home
-    // landmark (that port row entry was prefetched with the metadata).
-    for (std::uint32_t pos = 0; pos < live_count_;) {
-      Lane& lane = lanes_[live_[pos]];
-      if (lane.pool_idx != FlatCowen::kNotFound) {
-        lane.port = c->cluster_port(lane.pool_idx);
-      } else if (lane.here == lane.cl.home) {
-        CROUTE_ASSERT(lane.cl.port_at_home != kNoPort,
-                      "label for a non-landmark destination lacks a home "
-                      "port");
-        lane.port = lane.cl.port_at_home;
-      } else {
-        CROUTE_ASSERT(lane.cl.home_col != FlatCowen::kNoColumn,
-                      "destination's home is not a landmark");
-        lane.port = c->landmark_port(lane.here, lane.cl.home_col);
-        CROUTE_ASSERT(lane.port != kNoPort,
-                      "missing landmark port on a connected graph");
-      }
-      if (lane.port >= g.degree(lane.here)) {
-        finish(lane, answers[lane.qi], RouteStatus::kBadPort, path_arena);
-        retire(pos);
-        continue;
-      }
-      g.prefetch_arc(lane.here, lane.port);
-      ++pos;
-    }
-    // D: traverse, prefetch the next hop's metadata.
-    for (std::uint32_t pos = 0; pos < live_count_;) {
-      Lane& lane = lanes_[live_[pos]];
-      const Arc& arc = g.arc(lane.here, lane.port);
-      lane.length += arc.weight;
-      ++lane.hops;
-      lane.here = arc.head;
-      path_append(lane.path, lane.here);
-      if (lane.hops >= max_hops) {
-        finish(lane, answers[lane.qi], RouteStatus::kHopLimit, path_arena);
-        retire(pos);
-        continue;
-      }
-      c->prefetch_meta(lane.here, lane.cl);
-      g.prefetch_offsets(lane.here);
-      ++pos;
-    }
-  }
-}
-
-CROUTE_HOT void FlatBatchEngine::walk_full(
-    const FlatBatchTarget& target, std::span<FlatBatchAnswer> answers,
-    std::vector<VertexId>* path_arena, std::uint32_t max_hops) {
-  const FlatFullTable* ft = target.full;
-  const Graph& g = *target.graph;
-  while (live_count_ > 0) {
-    // A: deliver check + exact next hop (prefetched on arrival).
-    for (std::uint32_t pos = 0; pos < live_count_;) {
-      Lane& lane = lanes_[live_[pos]];
-      FlatBatchAnswer& a = answers[lane.qi];
-      if (lane.here == lane.t) {
-        finish(lane, a, RouteStatus::kDelivered, path_arena);
-        retire(pos);
-        continue;
-      }
-      lane.port = ft->next_hop(lane.here, lane.t);
-      if (lane.port >= g.degree(lane.here)) {
-        finish(lane, a, RouteStatus::kBadPort, path_arena);
-        retire(pos);
-        continue;
-      }
-      g.prefetch_arc(lane.here, lane.port);
-      ++pos;
-    }
-    // B: traverse, prefetch the next row entry.
-    for (std::uint32_t pos = 0; pos < live_count_;) {
-      Lane& lane = lanes_[live_[pos]];
-      const Arc& arc = g.arc(lane.here, lane.port);
-      lane.length += arc.weight;
-      ++lane.hops;
-      lane.here = arc.head;
-      path_append(lane.path, lane.here);
-      if (lane.hops >= max_hops) {
-        finish(lane, answers[lane.qi], RouteStatus::kHopLimit, path_arena);
-        retire(pos);
-        continue;
-      }
-      ft->prefetch_hop(lane.here, lane.t);
       g.prefetch_offsets(lane.here);
       ++pos;
     }

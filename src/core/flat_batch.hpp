@@ -19,11 +19,11 @@
 /// read. While
 /// lane A's line travels from DRAM, lanes B…G execute their stages, so up
 /// to G misses are in flight instead of one. Answers are byte-identical
-/// to the scalar FlatRouter/FlatCowen/FlatFullTable path — the stages
-/// reorder only *when* a line is fetched, never what is computed
-/// (tests/test_flat_scheme.cpp checks the served answers against the
-/// sim/ reference walk over every scheme kind and group size, ragged
-/// tails and self-queries included).
+/// to the scalar FlatRouter path — the stages reorder only *when* a line
+/// is fetched, never what is computed (tests/test_flat_scheme.cpp checks
+/// the served answers against the sim/ reference walk for both served
+/// decisions and every group size, ragged tails and self-queries
+/// included).
 ///
 /// Every walk runs under default_hop_budget (sim/packet.hpp), the bound
 /// route_one's scalar walk and the reference walk share.
@@ -35,9 +35,8 @@
 ///                record;
 ///   kStepDecide  O(1) tree decision over the record, prefetch the arc;
 ///   kStepAdvance traverse the arc, prefetch the next vertex's offsets.
-/// Prepare (rule-0 directory probe + min-level label scan), the handshake's
-/// bidirectional pivot walk, and the Cowen/full-table per-hop reads are
-/// staged the same way.
+/// Prepare (rule-0 directory probe + min-level label scan) and the
+/// handshake's bidirectional pivot walk are staged the same way.
 ///
 /// The probe stages are *vectorized* (src/simd/): each round compacts
 /// the live lanes' probes into SoA scratch arrays and resolves them in
@@ -76,24 +75,21 @@
 
 namespace croute {
 
-/// Which serving algorithm the engine pipelines (mirrors the service's
-/// SchemeKind without depending on the service layer).
+/// Which of the paper's two served decisions the engine pipelines. The
+/// service layer names this same enum SchemeKind
+/// (service/scheme_package.hpp); its values are the scheme byte of
+/// artifacts and of the wire WELCOME frame.
 enum class FlatServeKind {
-  kTZDirect,     ///< prepare (rule 0 + label scan) + tree walk
-  kTZHandshake,  ///< bidirectional pivot walk + tree walk
-  kCowen,        ///< cluster probe / home-landmark forwarding
-  kFullTable,    ///< exact next-hop matrix
+  kTZDirect,     ///< prepare (rule 0 + label scan) + tree walk; ≤ 4k−5
+  kTZHandshake,  ///< bidirectional pivot walk + tree walk; ≤ 2k−1
 };
 
-/// What the engine routes against: one immutable generation's flat views.
-/// The member matching \p kind must be set (flat for the TZ kinds, cowen
-/// for kCowen, full for kFullTable); graph always.
+/// What the engine routes against: one immutable generation's graph and
+/// flat view (both must be set).
 struct FlatBatchTarget {
   const Graph* graph = nullptr;
   FlatServeKind kind = FlatServeKind::kTZDirect;
   const FlatScheme* flat = nullptr;
-  const FlatCowen* cowen = nullptr;
-  const FlatFullTable* full = nullptr;
 };
 
 /// One query. For kTZDirect \p label must be the destination's resolved
@@ -198,8 +194,6 @@ class FlatBatchEngine {
     VertexId hs_u = kNoVertex, hs_v = kNoVertex, hs_w = kNoVertex;
     std::uint32_t hs_i = 0;
     bool hs_done = false;
-    // Cowen label
-    FlatCowen::Label cl;
     // walk
     Weight length = 0;
     std::uint32_t hops = 0;
@@ -214,12 +208,6 @@ class FlatBatchEngine {
   void walk_tz(const FlatBatchTarget& target,
                std::span<FlatBatchAnswer> answers,
                std::vector<VertexId>* path_arena, std::uint32_t max_hops);
-  void walk_cowen(const FlatBatchTarget& target,
-                  std::span<FlatBatchAnswer> answers,
-                  std::vector<VertexId>* path_arena, std::uint32_t max_hops);
-  void walk_full(const FlatBatchTarget& target,
-                 std::span<FlatBatchAnswer> answers,
-                 std::vector<VertexId>* path_arena, std::uint32_t max_hops);
 
   CROUTE_HOT void finish(Lane& lane, FlatBatchAnswer& answer,
                          RouteStatus status,

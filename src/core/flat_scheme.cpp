@@ -5,8 +5,6 @@
 #include <functional>
 #include <type_traits>
 
-#include "baseline/cowen.hpp"
-#include "baseline/full_table.hpp"
 #include "util/parallel.hpp"
 
 namespace croute {
@@ -344,90 +342,6 @@ CROUTE_HOT TreeDecision FlatRouter::step(VertexId v,
   CROUTE_ASSERT(here.light_depth < header.light_len,
                 "label misses the light port for this branch point");
   return TreeDecision{false, header.light[here.light_depth]};
-}
-
-CROUTE_DETERMINISTIC FlatCowen::FlatCowen(const CowenScheme& cowen,
-                                          const Graph& g)
-    : g_(&g),
-      n_(g.num_vertices()),
-      id_bits_(bits_for_universe(g.num_vertices())),
-      num_landmarks_(static_cast<std::uint32_t>(cowen.landmarks().size())),
-      label_bits_(cowen.label_bits()) {
-  const std::span<const std::uint64_t> off64 = cowen.cluster_offsets();
-  CROUTE_REQUIRE(off64[n_] < kNotFound,
-                 "cluster pool exceeds the index space");
-  cl_off_.resize(std::size_t{n_} + 1);
-  for (VertexId v = 0; v <= n_; ++v) {
-    cl_off_[v] = static_cast<std::uint32_t>(off64[v]);
-  }
-  const std::span<const VertexId> keys = cowen.cluster_targets();
-  const std::span<const Port> ports = cowen.cluster_first_ports();
-  cl_key_.resize(keys.size());
-  cl_port_.resize(ports.size());
-  std::vector<std::uint32_t> perm;
-  for (VertexId v = 0; v < n_; ++v) {
-    const std::uint32_t off = cl_off_[v];
-    const std::uint32_t len = cl_off_[v + 1] - off;
-    perm.resize(len);
-    fill_eytzinger(perm, len, 1, 0);
-    for (std::uint32_t p = 0; p < len; ++p) {
-      cl_key_[off + p] = keys[off + perm[p]];
-      cl_port_[off + p] = ports[off + perm[p]];
-    }
-  }
-  const std::span<const Port> lp = cowen.landmark_ports();
-  lport_.assign(lp.begin(), lp.end());
-  labels_.resize(n_);
-  for (VertexId t = 0; t < n_; ++t) {
-    const CowenScheme::Label l = cowen.label(t);
-    labels_[t] = Label{l.t, l.home, l.port_at_home,
-                       cowen.landmark_column(l.home)};
-  }
-}
-
-CROUTE_HOT TreeDecision FlatCowen::step(VertexId v,
-                                        const Label& dest) const {
-  if (v == dest.t) return TreeDecision{true, kNoPort};
-  // Exact hop if t ∈ C(v): one Eytzinger probe with the port alongside.
-  const std::uint32_t off = cl_off_[v];
-  const std::uint32_t len = cl_off_[v + 1] - off;
-  const std::uint32_t pos = eytzinger_find(cl_key_.data() + off, len, dest.t);
-  if (pos != len) return TreeDecision{false, cl_port_[off + pos]};
-  // At the home landmark: the label's pre-recorded first edge.
-  if (v == dest.home) {
-    CROUTE_ASSERT(dest.port_at_home != kNoPort,
-                  "label for a non-landmark destination lacks a home port");
-    return TreeDecision{false, dest.port_at_home};
-  }
-  // Otherwise forward toward the home landmark (column pre-resolved).
-  CROUTE_ASSERT(dest.home_col != kNoColumn,
-                "destination's home is not a landmark");
-  const Port p = lport_[std::size_t{v} * num_landmarks_ + dest.home_col];
-  CROUTE_ASSERT(p != kNoPort, "missing landmark port on a connected graph");
-  return TreeDecision{false, p};
-}
-
-std::uint64_t FlatCowen::table_bits(VertexId v) const noexcept {
-  const std::uint32_t port_bits =
-      bits_for_universe(std::uint64_t{g_->degree(v)} + 1);
-  const std::uint64_t cluster_entries = cl_off_[v + 1] - cl_off_[v];
-  return std::uint64_t{num_landmarks_} * port_bits +
-         cluster_entries * (id_bits_ + port_bits);
-}
-
-FlatFullTable::FlatFullTable(FullTableScheme&& full, const Graph& g)
-    : g_(&g),
-      n_(g.num_vertices()),
-      label_bits_(full.label_bits()),
-      hops_(std::move(full).release_hops()) {
-  CROUTE_REQUIRE(hops_.size() == std::size_t{n_} * n_,
-                 "hop matrix does not match the graph");
-}
-
-std::uint64_t FlatFullTable::table_bits(VertexId v) const noexcept {
-  const std::uint32_t port_bits =
-      bits_for_universe(std::uint64_t{g_->degree(v)} + 1);
-  return std::uint64_t{n_ - 1} * port_bits;
 }
 
 VertexId decode_wire_label(const LabelCodec& codec, VertexId n, BitReader& r,

@@ -45,14 +45,6 @@
 /// summed, so the fill passes shard by vertex and the result is
 /// byte-identical at every thread count), and `compile_stats()` reports
 /// where the compile time went (rebuild telemetry surfaces it per swap).
-///
-/// The pooled-SoA story extends to the baselines: `FlatCowen` and
-/// `FlatFullTable` compile Cowen / full-table preprocessing into the same
-/// kind of read-optimized state (Eytzinger cluster keys with ports
-/// alongside, label entries with the landmark column pre-resolved, the hop
-/// matrix taken over wholesale), so every SchemeKind serves from a flat
-/// view and the batch engine (core/flat_batch.hpp) can pipeline all of
-/// them.
 
 #pragma once
 
@@ -71,8 +63,6 @@
 namespace croute {
 
 class ThreadPool;
-class CowenScheme;
-class FullTableScheme;
 
 namespace flat_detail {
 
@@ -207,8 +197,7 @@ class FlatScheme {
       out.resize(n);
     }
     /// Pushes one probe: search \p x in the Eytzinger slice [off, off +
-    /// len) — a staged probe once stage1 has loaded its slice, or
-    /// FlatCowen's cluster scan.
+    /// len) — a staged probe once stage1 has loaded its slice.
     CROUTE_HOT void push_slice(std::uint32_t off, std::uint32_t len,
                                std::uint32_t x) noexcept {
       offs[count] = off;
@@ -401,132 +390,6 @@ class FlatRouter {
 
  private:
   const FlatScheme* flat_;
-};
-
-/// Pooled, read-optimized serving state compiled from a CowenScheme. The
-/// source scheme is only read during compilation — afterwards this view
-/// serves alone (SchemePackage drops the preprocessing-layout baseline
-/// once this view is compiled). Differences from CowenScheme::step's
-/// layout:
-///  - per-vertex cluster member keys are Eytzinger-permuted with the
-///    first-hop port alongside (no branchy lower_bound, no separate
-///    offset arithmetic on the cold path);
-///  - the label carries the home landmark's *column* in the port matrix,
-///    resolved once at compile time instead of per hop.
-/// Decisions are identical to CowenScheme::step for every (v, label).
-class FlatCowen {
- public:
-  static constexpr std::uint32_t kNotFound = ~std::uint32_t{0};
-  static constexpr std::uint32_t kNoColumn = ~std::uint32_t{0};
-
-  struct Label {
-    VertexId t = kNoVertex;
-    VertexId home = kNoVertex;    ///< a_t, t's nearest landmark
-    Port port_at_home = kNoPort;  ///< first hop of the a_t → t path
-    std::uint32_t home_col = kNoColumn;  ///< column of a_t in the port rows
-  };
-
-  /// Compiles the pooled view; \p cowen may be destroyed afterwards.
-  CROUTE_DETERMINISTIC FlatCowen(const CowenScheme& cowen, const Graph& g);
-
-  CROUTE_HOT Label label(VertexId t) const noexcept { return labels_[t]; }
-  std::uint32_t num_landmarks() const noexcept { return num_landmarks_; }
-
-  /// Scalar per-hop decision, same contract as CowenScheme::step.
-  CROUTE_HOT TreeDecision step(VertexId v, const Label& dest) const;
-
-  /// Exact table bits at v (same accounting as CowenScheme::table_bits).
-  std::uint64_t table_bits(VertexId v) const noexcept;
-  CROUTE_HOT std::uint64_t label_bits() const noexcept { return label_bits_; }
-
-  /// --- staged probe pieces for the batch engine ---------------------------
-  CROUTE_HOT void prefetch_label(VertexId t) const noexcept {
-    CROUTE_PREFETCH(&labels_[t]);
-  }
-  CROUTE_HOT void prefetch_meta(VertexId v, const Label& dest) const noexcept {
-    CROUTE_PREFETCH(&cl_off_[v]);
-    if (dest.home_col != kNoColumn) {
-      CROUTE_PREFETCH(
-          &lport_[std::size_t{v} * num_landmarks_ + dest.home_col]);
-    }
-  }
-  CROUTE_HOT void load_slice(VertexId v, std::uint32_t& off,
-                             std::uint32_t& len) const noexcept {
-    off = cl_off_[v];
-    len = cl_off_[v + 1] - off;
-    flat_detail::prefetch_span(cl_key_.data() + off, len * sizeof(VertexId));
-  }
-  CROUTE_HOT std::uint32_t find_at(std::uint32_t off, std::uint32_t len,
-                                   VertexId t) const noexcept {
-    const std::uint32_t pos =
-        flat_detail::eytzinger_find(cl_key_.data() + off, len, t);
-    return pos == len ? kNotFound : off + pos;
-  }
-  /// Batched find_at over probes pushed with push_slice: b.out[i] =
-  /// find_at(off_i, len_i, t_i), via the selected SIMD kernel (the
-  /// cluster probe is the same Eytzinger descent the TZ tables use).
-  CROUTE_HOT void find_at_batch(
-      FlatScheme::FindBatchScratch& b) const noexcept {
-    simd::ops().eytzinger_batch(cl_key_.data(), b.offs.data(), b.lens.data(),
-                                b.xs.data(), b.out.data(), b.count);
-    for (std::uint32_t i = 0; i < b.count; ++i) {
-      b.out[i] = b.out[i] == b.lens[i] ? kNotFound : b.offs[i] + b.out[i];
-    }
-  }
-  CROUTE_HOT void prefetch_cluster_port(std::uint32_t idx) const noexcept {
-    CROUTE_PREFETCH(&cl_port_[idx]);
-  }
-  CROUTE_HOT Port cluster_port(std::uint32_t idx) const noexcept {
-    return cl_port_[idx];
-  }
-  CROUTE_HOT Port landmark_port(VertexId v,
-                                std::uint32_t col) const noexcept {
-    return lport_[std::size_t{v} * num_landmarks_ + col];
-  }
-
- private:
-  friend class ArtifactCodec;  ///< persistence: pools in, pools out
-  FlatCowen() = default;
-
-  const Graph* g_ = nullptr;
-  VertexId n_ = 0;
-  std::uint32_t id_bits_ = 0;
-  std::uint32_t num_landmarks_ = 0;
-  std::uint64_t label_bits_ = 0;
-  std::vector<std::uint32_t> cl_off_;  ///< n+1
-  std::vector<VertexId> cl_key_;       ///< Eytzinger-permuted member ids
-  std::vector<Port> cl_port_;          ///< first-hop ports, same permutation
-  std::vector<Port> lport_;            ///< n × |L| row-major landmark ports
-  std::vector<Label> labels_;
-};
-
-/// Pooled serving state for the full-table baseline: the n×n hop matrix
-/// taken over from FullTableScheme (the matrix *is* already SoA; what
-/// this view adds is ownership without the preprocessing object and the
-/// prefetch hooks the batch engine pipelines through).
-class FlatFullTable {
- public:
-  /// Takes the hop matrix over (no copy); \p full is empty afterwards.
-  FlatFullTable(FullTableScheme&& full, const Graph& g);
-
-  CROUTE_HOT Port next_hop(VertexId v, VertexId t) const noexcept {
-    return hops_[std::size_t{v} * n_ + t];
-  }
-  CROUTE_HOT void prefetch_hop(VertexId v, VertexId t) const noexcept {
-    CROUTE_PREFETCH(&hops_[std::size_t{v} * n_ + t]);
-  }
-
-  std::uint64_t table_bits(VertexId v) const noexcept;
-  CROUTE_HOT std::uint64_t label_bits() const noexcept { return label_bits_; }
-
- private:
-  friend class ArtifactCodec;  ///< persistence: pools in, pools out
-  FlatFullTable() = default;
-
-  const Graph* g_ = nullptr;
-  VertexId n_ = 0;
-  std::uint64_t label_bits_ = 0;
-  std::vector<Port> hops_;  ///< n*n, row per source
 };
 
 /// Decodes one LabelCodec-encoded routing label from \p r into flat entry

@@ -9,11 +9,10 @@ VertexTable::VertexTable(std::vector<TableEntry> entries,
                          const TreeRoutingScheme::Codec& codec,
                          std::uint32_t vertex_id_bits)
     : entries_(std::move(entries)), light_pool_(std::move(light_pool)) {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const TableEntry& a, const TableEntry& b) { return a.w < b.w; });
   for (std::size_t i = 1; i < entries_.size(); ++i) {
-    CROUTE_REQUIRE(entries_[i - 1].w != entries_[i].w,
-                   "duplicate tree root in a vertex table");
+    CROUTE_REQUIRE(entries_[i - 1].w < entries_[i].w,
+                   "vertex table entries must have strictly increasing "
+                   "tree roots");
   }
   // Exact serialized size: key + level + record + own tree label.
   // Accounted arithmetically (record_bits/label_bits mirror the

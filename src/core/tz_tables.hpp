@@ -61,8 +61,10 @@ class VertexTable {
  public:
   VertexTable() = default;
 
-  /// Takes ownership of entries (any order; sorted internally by w) and
-  /// the light-port pool the entries' slices point into.
+  /// Takes ownership of entries, which must arrive sorted by strictly
+  /// increasing w (both cluster sweeps append one entry per center in
+  /// ascending center id, so no sort is needed), and of the light-port
+  /// pool the entries' slices point into.
   /// \p vertex_id_bits is ceil(log2 n) — the width of key fields.
   VertexTable(std::vector<TableEntry> entries, std::vector<Port> light_pool,
               const TreeRoutingScheme::Codec& codec,

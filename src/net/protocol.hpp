@@ -76,7 +76,7 @@
 /// varint, truncated label, out-of-range vertex). The offending req_id
 /// is echoed; the connection survives.
 /// kErrUnsupported (3): valid frame type the server won't serve here
-/// (e.g. QUERY_L on a non-TZ scheme).
+/// (e.g. QUERY_L on the tz-handshake scheme).
 
 #pragma once
 

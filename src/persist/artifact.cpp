@@ -18,15 +18,12 @@ namespace {
 /// "croutea1" as a little-endian u64 (artifact, format family 1).
 constexpr std::uint64_t kMagic = 0x31616574756F7263ULL;
 
-// Section ids. An artifact carries whichever of these its package does;
-// the loader locates them by id, so the order on disk is irrelevant
-// (relocatable) and unknown future ids are a clean version-skew error,
-// never an out-of-bounds read. Id 3 held the FlatScheme pools in format
-// 1; later formats compile them from the TZ section on load instead.
-constexpr std::uint32_t kSecGraph = 1;      ///< edge list, rebuilt via GraphBuilder
-constexpr std::uint32_t kSecTZ = 2;         ///< scheme_io bytes (TZ preprocessing)
-constexpr std::uint32_t kSecFlatCowen = 4;  ///< FlatCowen pools
-constexpr std::uint32_t kSecFlatFull = 5;   ///< FlatFullTable pools
+// Section ids. The loader locates sections by id, so the order on disk
+// is irrelevant (relocatable) and unknown future ids are a clean
+// version-skew error, never an out-of-bounds read. Ids 3–5 named
+// sections of older formats; they are not reused.
+constexpr std::uint32_t kSecGraph = 1;  ///< edge list, rebuilt via GraphBuilder
+constexpr std::uint32_t kSecTZ = 2;     ///< scheme_io bytes (TZ preprocessing)
 
 constexpr std::uint32_t kMaxSections = 16;
 constexpr std::uint32_t kMaxHostLen = 256;
@@ -61,122 +58,11 @@ const char* section_name(std::uint32_t id) {
   switch (id) {
     case kSecGraph: return "GRAPH";
     case kSecTZ: return "TZ";
-    case kSecFlatCowen: return "FLAT_COWEN";
-    case kSecFlatFull: return "FLAT_FULL";
   }
   return "?";
 }
 
 }  // namespace
-
-/// The friend serializer FlatCowen/FlatFullTable grant pool access to
-/// (the SchemeSerializer pattern scheme_io uses over TZScheme). Not in the
-/// anonymous namespace — the friend declarations name
-/// croute::ArtifactCodec. Encode writes pools verbatim; decode fills a
-/// default-constructed view, validates every invariant the routers rely
-/// on, and rebinds the graph pointer. FlatScheme has no entry here: its
-/// pools are derived from the TZ section and compiled on load.
-class ArtifactCodec {
- public:
-  // --- FlatCowen ------------------------------------------------------------
-  static void encode_cowen(BufferWriter& w, const FlatCowen& c) {
-    w.u32(c.n_);
-    w.u32(c.id_bits_);
-    w.u32(c.num_landmarks_);
-    w.u64(c.label_bits_);
-    w.vec_u32(c.cl_off_);
-    w.vec_u32(c.cl_key_);
-    w.vec_u32(c.cl_port_);
-    w.vec_u32(c.lport_);
-    w.u64(c.labels_.size());
-    for (const FlatCowen::Label& l : c.labels_) {
-      w.u32(l.t);
-      w.u32(l.home);
-      w.u32(l.port_at_home);
-      w.u32(l.home_col);
-    }
-  }
-
-  static std::unique_ptr<const FlatCowen> decode_cowen(SpanReader& r,
-                                                       const Graph& g) {
-    std::unique_ptr<FlatCowen> c(new FlatCowen());
-    c->n_ = r.u32();
-    if (c->n_ != g.num_vertices()) {
-      reject("FLAT_COWEN: vertex count disagrees with the graph section");
-    }
-    c->id_bits_ = r.u32();
-    c->num_landmarks_ = r.u32();
-    c->label_bits_ = r.u64();
-    c->cl_off_ = r.vec_u32<std::uint32_t>();
-    c->cl_key_ = r.vec_u32<VertexId>();
-    c->cl_port_ = r.vec_u32<Port>();
-    c->lport_ = r.vec_u32<Port>();
-    check_csr("FLAT_COWEN clusters", c->n_, c->cl_off_, c->cl_key_.size());
-    if (c->cl_port_.size() != c->cl_key_.size()) {
-      reject("FLAT_COWEN: cluster port/key count mismatch");
-    }
-    if (c->lport_.size() !=
-        std::uint64_t{c->n_} * c->num_landmarks_) {
-      reject("FLAT_COWEN: landmark port matrix has the wrong shape");
-    }
-    const std::uint64_t nlab = r.u64();
-    if (nlab != c->n_) reject("FLAT_COWEN: label count != n");
-    c->labels_.resize(nlab);
-    for (FlatCowen::Label& l : c->labels_) {
-      l.t = r.u32();
-      l.home = r.u32();
-      l.port_at_home = r.u32();
-      l.home_col = r.u32();
-      if (l.home_col != FlatCowen::kNoColumn &&
-          l.home_col >= c->num_landmarks_) {
-        reject("FLAT_COWEN: label home column out of range");
-      }
-    }
-    c->g_ = &g;
-    return c;
-  }
-
-  // --- FlatFullTable --------------------------------------------------------
-  static void encode_full(BufferWriter& w, const FlatFullTable& t) {
-    w.u32(t.n_);
-    w.u64(t.label_bits_);
-    w.vec_u32(t.hops_);
-  }
-
-  static std::unique_ptr<const FlatFullTable> decode_full(SpanReader& r,
-                                                          const Graph& g) {
-    std::unique_ptr<FlatFullTable> t(new FlatFullTable());
-    t->n_ = r.u32();
-    if (t->n_ != g.num_vertices()) {
-      reject("FLAT_FULL: vertex count disagrees with the graph section");
-    }
-    t->label_bits_ = r.u64();
-    t->hops_ = r.vec_u32<Port>();
-    if (t->hops_.size() != std::uint64_t{t->n_} * t->n_) {
-      reject("FLAT_FULL: hop matrix has the wrong shape");
-    }
-    t->g_ = &g;
-    return t;
-  }
-
- private:
-  /// CSR offsets invariants every router lookup assumes: size n+1,
-  /// starts at 0, monotone, last == pool size.
-  static void check_csr(const char* what, VertexId n,
-                        const std::vector<std::uint32_t>& off,
-                        std::uint64_t pool) {
-    if (off.size() != std::uint64_t{n} + 1 || off.front() != 0 ||
-        off.back() != pool) {
-      reject(std::string(what) + ": CSR offsets have the wrong shape");
-    }
-    for (std::size_t i = 1; i < off.size(); ++i) {
-      if (off[i] < off[i - 1]) {
-        reject(std::string(what) + ": CSR offsets not monotone");
-      }
-    }
-  }
-};
-
 }  // namespace croute
 
 namespace croute::persist {
@@ -260,7 +146,7 @@ ParsedHeader parse_header(std::string_view bytes) {
            std::to_string(kArtifactFormatVersion) + ")");
   }
   const std::uint8_t scheme = r.u8();
-  if (scheme > static_cast<std::uint8_t>(SchemeKind::kFullTable)) {
+  if (scheme > static_cast<std::uint8_t>(SchemeKind::kTZHandshake)) {
     reject("unknown scheme kind in header");
   }
   h.meta.scheme = static_cast<SchemeKind>(scheme);
@@ -384,11 +270,7 @@ std::string encode_package(const SchemePackage& pkg,
   meta.generation = generation;
   meta.build_host = isa_stamp();
 
-  std::vector<Section> sections(1);
-  sections[0].id = kSecGraph;
-  if (pkg.tz != nullptr) sections.push_back({kSecTZ});
-  if (pkg.flat_cowen != nullptr) sections.push_back({kSecFlatCowen});
-  if (pkg.flat_full != nullptr) sections.push_back({kSecFlatFull});
+  std::vector<Section> sections = {{kSecGraph}, {kSecTZ}};
 
   // One buffer, one pass. The reservation is a generous estimate (the
   // TZ section is smaller than the flat pools compiled from it): pages
@@ -396,7 +278,7 @@ std::string encode_package(const SchemePackage& pkg,
   // only an undershoot costs a regrowth.
   std::string out;
   out.reserve(4096 + 16 * pkg.graph->num_edges() +
-              (pkg.flat != nullptr ? 2 * pkg.flat->pool_bytes() : 0));
+              2 * pkg.flat->pool_bytes());
   BufferWriter w(out);
   // The header is fixed-width once the section count is known: write it
   // with zero offsets to claim its bytes, then overwrite it in place.
@@ -408,8 +290,6 @@ std::string encode_package(const SchemePackage& pkg,
     switch (sec.id) {
       case kSecGraph: encode_graph_section(w, *pkg.graph); break;
       case kSecTZ: save_scheme(*pkg.tz, out); break;
-      case kSecFlatCowen: ArtifactCodec::encode_cowen(w, *pkg.flat_cowen); break;
-      case kSecFlatFull: ArtifactCodec::encode_full(w, *pkg.flat_full); break;
     }
     sec.size = out.size() - sec.offset;
     sec.crc = crc32c(out.data() + sec.offset, sec.size);
@@ -462,21 +342,9 @@ SchemePackagePtr decode_package(std::string_view bytes,
   if (graph_fingerprint(*pkg->graph) != h.meta.graph_digest) {
     reject("graph payload does not match its recorded fingerprint");
   }
-  const Graph& g = *pkg->graph;
-
-  const bool is_tz = serving.scheme == SchemeKind::kTZDirect ||
-                     serving.scheme == SchemeKind::kTZHandshake;
-  if (is_tz) {
-    pkg->tz = std::make_unique<const TZScheme>(
-        load_scheme(section_bytes(bytes, h, kSecTZ), g));
-    compile_flat_view(*pkg);
-  } else if (serving.scheme == SchemeKind::kCowen) {
-    SpanReader r = section_reader(bytes, h, kSecFlatCowen);
-    pkg->flat_cowen = ArtifactCodec::decode_cowen(r, g);
-  } else {
-    SpanReader r = section_reader(bytes, h, kSecFlatFull);
-    pkg->flat_full = ArtifactCodec::decode_full(r, g);
-  }
+  pkg->tz = std::make_unique<const TZScheme>(
+      load_scheme(section_bytes(bytes, h, kSecTZ), *pkg->graph));
+  compile_flat_view(*pkg);
 
   pkg->incr_stats.fallback_reason = "recovered from artifact";
   pkg->build_seconds =

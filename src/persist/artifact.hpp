@@ -5,32 +5,32 @@
 /// A million-user routing service must survive being killed; paying full
 /// TZ preprocessing plus flat compilation on every start is the cost this
 /// tier removes. An artifact carries one representation of everything a
-/// generation serves from — the graph copy, the TZ preprocessing
-/// (scheme_io bytes), and the flat pools of the baselines (Cowen and full
-/// table preprocessing have no serialized form) — so a restart is a read,
-/// a verify and a decode, not a rebuild. The flat TZ pools are derived
-/// state and are not stored: decode compiles them from the decoded TZ
-/// scheme through the same compile_flat_view a fresh build uses. The
-/// compile is cheaper than decoding stored pools was, and leaving them
-/// out halves the artifact.
+/// generation serves from — the graph copy and the TZ preprocessing
+/// (scheme_io bytes) — so a restart is a read, a verify and a decode, not
+/// a rebuild. The flat TZ pools are derived state and are not stored:
+/// decode compiles them from the decoded TZ scheme through the same
+/// compile_flat_view a fresh build uses. The compile is cheaper than
+/// decoding stored pools was, and leaving them out halves the artifact.
 ///
-/// Layout, format 4 (all little-endian, util/serialize.hpp):
+/// Layout, format 5 (all little-endian, util/serialize.hpp):
 ///
 ///   header   magic "croutea1" · format version · generation metadata
 ///            (scheme kind, k, sampling, seed, n, options digest, graph
 ///            fingerprint, generation number, build host/ISA stamp) ·
 ///            section table (id, absolute offset, size, CRC32C each) ·
 ///            CRC32C of the header bytes
-///   payload  sections back to back (GRAPH, TZ, FLAT_COWEN, FLAT_FULL —
-///            whichever the package carries)
+///   payload  sections back to back (GRAPH, TZ)
 ///   trailer  CRC32C of everything before it (whole-file)
 ///
 /// Format 1 also stored a FLAT_TZ section, formats 1 and 2 carried the
 /// serving-path and flat-lookup bytes of the deleted legacy path and FKS
-/// layout, and formats 1–3 carried a warm-start byte for generations
-/// loaded from a scheme file (a mode the service no longer has). Loaders
-/// reject all three as version skew, and the service falls back to a
-/// fresh build with the reason recorded.
+/// layout, formats 1–3 carried a warm-start byte for generations loaded
+/// from a scheme file (a mode the service no longer has), and formats 1–4
+/// could hold the Cowen and full-table serving pools (section ids 4 and
+/// 5) of scheme kinds the service no longer serves. Loaders reject them
+/// all as version skew, and the service falls back to a fresh build with
+/// the reason recorded. The header's scheme byte is 0 (tz) or 1
+/// (tz-handshake); any other value is rejected.
 ///
 /// The dual stamps — format version for the *container*, the metadata
 /// digests for the *generation* — mean a loader rejects incompatible or
@@ -38,8 +38,8 @@
 /// per-section sums then localize any corruption to the section that
 /// rotted. Loaded state is byte-identical to a fresh build on the same
 /// (graph, options): the TZ bytes go through scheme_io's proven
-/// round-trip, the baseline pools are stored verbatim, and the derived
-/// flat TZ pools are recompiled from the decoded scheme.
+/// round-trip, and the derived flat TZ pools are recompiled from the
+/// decoded scheme.
 ///
 /// Everything here is pure bytes-in/bytes-out; the atomic file lifecycle
 /// (tmp → fsync → rename, MANIFEST, retention, fault injection) lives in
@@ -57,7 +57,7 @@ namespace croute::persist {
 
 /// Container format version (bump on layout changes; loaders reject
 /// anything else — version skew falls back to fresh preprocessing).
-inline constexpr std::uint32_t kArtifactFormatVersion = 4;
+inline constexpr std::uint32_t kArtifactFormatVersion = 5;
 
 /// Generation metadata, readable from the header alone.
 struct ArtifactMeta {

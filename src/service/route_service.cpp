@@ -45,16 +45,17 @@ CROUTE_HOT inline void record_hop(std::vector<VertexId>* path, VertexId v) {
 }
 
 /// The hop-by-hop walk of the flat serving path: same contract as
-/// Simulator::run (statuses, hop budget, path recording) but monomorphic —
-/// the step callable inlines, and the path lands in a caller-owned arena.
-template <typename StepFn>
-CROUTE_HOT void walk(const Graph& g, VertexId s, VertexId t, StepFn&& step,
+/// Simulator::run (statuses, hop budget, path recording), with every
+/// decision taken by FlatRouter::step on the prepared header and the path
+/// landing in a caller-owned arena.
+CROUTE_HOT void walk(const Graph& g, const FlatRouter& router,
+                     const FlatHeader& h, VertexId s, VertexId t,
                      std::vector<VertexId>* path, RouteAnswer& a) {
   const std::uint32_t max_hops = default_hop_budget(g);
   record_hop(path, s);
   VertexId here = s;
   while (true) {
-    const TreeDecision d = step(here);
+    const TreeDecision d = router.step(here, h);
     if (d.deliver) {
       a.status = here == t ? RouteStatus::kDelivered
                            : RouteStatus::kWrongDeliver;
@@ -281,45 +282,12 @@ CROUTE_HOT RouteAnswer RouteService::serve(
     record_hop(path_out, query.s);
     return a;
   }
-  switch (options_.scheme) {
-    case SchemeKind::kTZDirect: {
-      const FlatHeader h = pkg.flat_router->prepare(query.s, query.t);
-      a.header_bits = h.bits;
-      walk(g, query.s, query.t,
-           [&](VertexId v) { return pkg.flat_router->step(v, h); },
-           path_out, a);
-      break;
-    }
-    case SchemeKind::kTZHandshake: {
-      const FlatHeader h = pkg.flat_router->prepare_handshake(query.s,
-                                                              query.t);
-      a.header_bits = h.bits;
-      walk(g, query.s, query.t,
-           [&](VertexId v) { return pkg.flat_router->step(v, h); },
-           path_out, a);
-      break;
-    }
-    case SchemeKind::kCowen: {
-      // Pooled SoA serving: Eytzinger cluster keys with the first-hop
-      // port alongside, home-landmark column pre-resolved in the label.
-      const FlatCowen::Label label = pkg.flat_cowen->label(query.t);
-      a.header_bits = pkg.flat_cowen->label_bits();
-      walk(g, query.s, query.t,
-           [&](VertexId v) { return pkg.flat_cowen->step(v, label); },
-           path_out, a);
-      break;
-    }
-    case SchemeKind::kFullTable: {
-      a.header_bits = pkg.flat_full->label_bits();
-      walk(g, query.s, query.t,
-           [&](VertexId v) {
-             if (v == query.t) return TreeDecision{true, kNoPort};
-             return TreeDecision{false, pkg.flat_full->next_hop(v, query.t)};
-           },
-           path_out, a);
-      break;
-    }
-  }
+  const FlatRouter& router = *pkg.flat_router;
+  const FlatHeader h = options_.scheme == SchemeKind::kTZDirect
+                           ? router.prepare(query.s, query.t)
+                           : router.prepare_handshake(query.s, query.t);
+  a.header_bits = h.bits;
+  walk(g, router, h, query.s, query.t, path_out, a);
   if (a.delivered() && query.exact > 0) a.stretch = a.length / query.exact;
   return a;
 }
@@ -495,23 +463,8 @@ void RouteService::route(std::span<const RouteRequest> requests,
   // size and thread count.
   FlatBatchTarget target;
   target.graph = pkg->graph.get();
+  target.kind = options_.scheme;
   target.flat = pkg->flat.get();
-  target.cowen = pkg->flat_cowen.get();
-  target.full = pkg->flat_full.get();
-  switch (options_.scheme) {
-    case SchemeKind::kTZDirect:
-      target.kind = FlatServeKind::kTZDirect;
-      break;
-    case SchemeKind::kTZHandshake:
-      target.kind = FlatServeKind::kTZHandshake;
-      break;
-    case SchemeKind::kCowen:
-      target.kind = FlatServeKind::kCowen;
-      break;
-    case SchemeKind::kFullTable:
-      target.kind = FlatServeKind::kFullTable;
-      break;
-  }
   // A chunk holds a few pipeline generations so refills amortize while
   // the dynamic schedule stays responsive to skewed per-query cost.
   const std::uint32_t chunk =

@@ -38,10 +38,10 @@
 /// distributed-construction literature (planar compact routing) uses to
 /// price recomputation under traffic.
 ///
-/// Serving path — *one of each mode*: every scheme kind is compiled into
-/// pooled structure-of-arrays state at package build (FlatScheme /
-/// FlatRouter for the TZ kinds, FlatCowen and FlatFullTable for the
-/// baselines; core/flat_scheme.hpp), and every route() batch runs
+/// Serving path — *one of each mode*: both scheme kinds (the paper's
+/// direct and handshake decisions) serve from the pooled
+/// structure-of-arrays state compiled at package build (FlatScheme /
+/// FlatRouter, core/flat_scheme.hpp), and every route() batch runs
 /// through per-worker FlatBatchEngines (core/flat_batch.hpp):
 /// batch_group queries' descents interleaved in a software pipeline,
 /// each lane's next dependent load prefetched while the other lanes
@@ -259,7 +259,7 @@ struct ServiceTelemetry {
   /// Blackout: max wall time (µs) of one batch that straddled a swap —
   /// the worst interruption any client observed during a flip.
   double max_swap_blackout_us = 0;
-  // --- flat-compile attribution (zeros for the non-TZ kinds) ---
+  // --- flat-compile attribution ---
   /// Summed FlatScheme compile wall time over every build this service
   /// performed (initial + rebuilds) — the slice of rebuild_seconds the
   /// flat view costs.
@@ -408,12 +408,12 @@ class RouteService {
   /// Bits of routing state the current generation stores at vertex v.
   std::uint64_t table_bits(VertexId v) const;
 
-  /// The current generation's TZ scheme, or nullptr for non-TZ kinds
-  /// (stats, IO). Valid until the next publish(); pin package() to keep.
+  /// The current generation's TZ scheme (stats, IO); never null. Valid
+  /// until the next publish(); pin package() to keep.
   const TZScheme* tz_scheme() const noexcept { return package()->tz.get(); }
 
-  /// The current generation's flat view, or nullptr (non-TZ kinds).
-  /// Same lifetime contract as tz_scheme().
+  /// The current generation's flat view; never null. Same lifetime
+  /// contract as tz_scheme().
   const FlatScheme* flat_scheme() const noexcept {
     return package()->flat.get();
   }

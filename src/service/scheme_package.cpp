@@ -13,8 +13,6 @@ const char* scheme_name(SchemeKind kind) noexcept {
   switch (kind) {
     case SchemeKind::kTZDirect: return "tz";
     case SchemeKind::kTZHandshake: return "tz-handshake";
-    case SchemeKind::kCowen: return "cowen";
-    case SchemeKind::kFullTable: return "full";
   }
   return "?";
 }
@@ -23,10 +21,8 @@ SchemeKind parse_scheme(const std::string& name) {
   if (name == "tz") return SchemeKind::kTZDirect;
   if (name == "tz-handshake" || name == "handshake")
     return SchemeKind::kTZHandshake;
-  if (name == "cowen") return SchemeKind::kCowen;
-  if (name == "full" || name == "full-table") return SchemeKind::kFullTable;
   throw std::invalid_argument("unknown scheme: " + name +
-                              " (want tz|tz-handshake|cowen|full)");
+                              " (want tz|tz-handshake)");
 }
 
 const char* sampling_name(SamplingMode mode) noexcept {
@@ -45,12 +41,10 @@ std::string RouteServiceOptions::validate() const {
     return "batch_group must be a power of two (e.g. 16, 32, 64); got " +
            std::to_string(batch_group);
   }
-  const bool is_tz =
-      scheme == SchemeKind::kTZDirect || scheme == SchemeKind::kTZHandshake;
-  if (is_tz && k < 1) {
-    return "k must be >= 1 for TZ schemes; got " + std::to_string(k);
+  if (k < 1) {
+    return "k must be >= 1; got " + std::to_string(k);
   }
-  if (is_tz && k > 64) {
+  if (k > 64) {
     return "k = " + std::to_string(k) +
            " is past any useful hierarchy depth (want 1..64)";
   }
@@ -65,13 +59,7 @@ std::string RouteServiceOptions::validate() const {
 }
 
 std::uint64_t SchemePackage::table_bits(VertexId v) const {
-  switch (options.scheme) {
-    case SchemeKind::kTZDirect:
-    case SchemeKind::kTZHandshake: return tz->table_bits(v);
-    case SchemeKind::kCowen: return flat_cowen->table_bits(v);
-    case SchemeKind::kFullTable: return flat_full->table_bits(v);
-  }
-  return 0;
+  return tz->table_bits(v);
 }
 
 void compile_flat_view(SchemePackage& pkg) {
@@ -95,8 +83,8 @@ namespace {
 
 /// Shared body of the two public builders. When \p previous is non-null
 /// the TZ preprocessing runs delta-aware (the caller has already
-/// verified compatibility); everything else — flat compile, baselines,
-/// timings — is identical, as are the produced bytes.
+/// verified compatibility); everything else — flat compile, timings — is
+/// identical, as are the produced bytes.
 SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
                                const RouteServiceOptions& options,
                                const SchemePackage* previous,
@@ -118,40 +106,21 @@ SchemePackagePtr build_package(std::shared_ptr<const Graph> graph,
   auto pkg = std::make_shared<SchemePackage>();
   pkg->options = options;
   pkg->graph = std::move(graph);
-  switch (options.scheme) {
-    case SchemeKind::kTZDirect:
-    case SchemeKind::kTZHandshake: {
-      TZSchemeOptions opt;
-      opt.pre.k = options.k;
-      opt.pre.hierarchy.mode = options.sampling;
-      Rng rng(options.seed);
-      if (previous != nullptr) {
-        const auto diff_begin = clock::now();
-        const GraphDelta delta = diff_graphs(*previous->graph, g);
-        incr_stats.diff_s =
-            std::chrono::duration<double>(clock::now() - diff_begin).count();
-        pkg->tz = std::make_unique<const TZScheme>(rebuild_tz_incremental(
-            *previous->tz, g, delta, opt, rng, &incr_stats));
-      } else {
-        pkg->tz = std::make_unique<const TZScheme>(g, opt, rng);
-      }
-      compile_flat_view(*pkg);
-      break;
-    }
-    case SchemeKind::kCowen: {
-      // Preprocess, compile the pooled view, drop the preprocessing.
-      Rng rng(options.seed);
-      const CowenScheme cowen(g, rng);
-      pkg->flat_cowen = std::make_unique<const FlatCowen>(cowen, g);
-      break;
-    }
-    case SchemeKind::kFullTable: {
-      FullTableScheme full(g);
-      pkg->flat_full =
-          std::make_unique<const FlatFullTable>(std::move(full), g);
-      break;
-    }
+  TZSchemeOptions opt;
+  opt.pre.k = options.k;
+  opt.pre.hierarchy.mode = options.sampling;
+  Rng rng(options.seed);
+  if (previous != nullptr) {
+    const auto diff_begin = clock::now();
+    const GraphDelta delta = diff_graphs(*previous->graph, g);
+    incr_stats.diff_s =
+        std::chrono::duration<double>(clock::now() - diff_begin).count();
+    pkg->tz = std::make_unique<const TZScheme>(rebuild_tz_incremental(
+        *previous->tz, g, delta, opt, rng, &incr_stats));
+  } else {
+    pkg->tz = std::make_unique<const TZScheme>(g, opt, rng);
   }
+  compile_flat_view(*pkg);
   pkg->incr_stats = incr_stats;
   pkg->build_seconds = std::chrono::duration<double>(clock::now() - begin).count();
   return pkg;
@@ -167,16 +136,12 @@ SchemePackagePtr build_scheme_package(std::shared_ptr<const Graph> graph,
 SchemePackagePtr build_scheme_package_incremental(
     SchemePackagePtr previous, std::shared_ptr<const Graph> graph,
     const RouteServiceOptions& options) {
-  const bool is_tz = options.scheme == SchemeKind::kTZDirect ||
-                     options.scheme == SchemeKind::kTZHandshake;
   // Every fallback keeps the build correct (full preprocessing produces
   // the same bytes); the reason is recorded so telemetry can say why a
   // rebuild did not reuse.
   const char* fallback = nullptr;
-  if (!is_tz) {
-    fallback = "non-tz scheme";
-  } else if (previous == nullptr || previous->tz == nullptr ||
-             previous->graph == nullptr) {
+  if (previous == nullptr || previous->tz == nullptr ||
+      previous->graph == nullptr) {
     fallback = "no previous generation";
   } else if (previous->graph->num_vertices() != graph->num_vertices()) {
     fallback = "vertex set changed";

@@ -2,9 +2,9 @@
 /// \brief SchemePackage: one immutable, refcounted scheme generation.
 ///
 /// Hot-swapping a routing scheme under live traffic only works if
-/// *everything* a query touches — the graph CSR, the TZ preprocessing,
-/// the compiled flat view, and the pooled baseline state — lives and dies
-/// as ONE unit. SchemePackage is that unit:
+/// *everything* a query touches — the graph CSR, the TZ preprocessing and
+/// the compiled flat view — lives and dies as ONE unit. SchemePackage is
+/// that unit:
 /// built once by build_scheme_package(), immutable afterwards, and
 /// shared via `std::shared_ptr<const SchemePackage>` so the reference
 /// count IS the retirement protocol. RouteService publishes a package
@@ -16,9 +16,9 @@
 /// Internal ownership order matters and is encoded here: the package
 /// owns its Graph (a value copy — rebuilds serve a *different* topology
 /// than the caller's original), TZScheme points into that graph,
-/// FlatScheme points into the TZScheme, FlatRouter into the FlatScheme,
-/// and the pooled baselines into the graph. Destruction runs in reverse
-/// member order, so no dangling pointers at teardown.
+/// FlatScheme points into the TZScheme, and FlatRouter into the
+/// FlatScheme. Destruction runs in reverse member order, so no dangling
+/// pointers at teardown.
 
 #pragma once
 
@@ -26,8 +26,7 @@
 #include <memory>
 #include <string>
 
-#include "baseline/cowen.hpp"
-#include "baseline/full_table.hpp"
+#include "core/flat_batch.hpp"
 #include "core/flat_scheme.hpp"
 #include "core/incremental_rebuild.hpp"
 #include "core/tz_scheme.hpp"
@@ -35,18 +34,16 @@
 
 namespace croute {
 
-/// Which routing scheme a service runs. Fixed per package; hot swap
-/// replaces the graph and the preprocessing, never the scheme kind.
-enum class SchemeKind {
-  kTZDirect,     ///< Thorup–Zwick without handshake (stretch ≤ 4k−5)
-  kTZHandshake,  ///< Thorup–Zwick with handshake (stretch ≤ 2k−1)
-  kCowen,        ///< Cowen's stretch-3 baseline
-  kFullTable,    ///< full shortest-path tables (stretch 1; small graphs)
-};
+/// Which of the paper's two decisions a service serves: Thorup–Zwick
+/// without handshake (kTZDirect, stretch ≤ 4k−5) or with it
+/// (kTZHandshake, stretch ≤ 2k−1). The batch engine's own enum, so the
+/// service hands it over unmapped. Fixed per package; hot swap replaces
+/// the graph and the preprocessing, never the scheme kind.
+using SchemeKind = FlatServeKind;
 
 const char* scheme_name(SchemeKind kind) noexcept;
 
-/// Parses "tz" / "tz-handshake" / "cowen" / "full" (throws on others).
+/// Parses "tz" / "tz-handshake" (throws on others).
 SchemeKind parse_scheme(const std::string& name);
 
 const char* sampling_name(SamplingMode mode) noexcept;
@@ -62,9 +59,9 @@ struct RouteServiceOptions {
   SchemeKind scheme = SchemeKind::kTZDirect;
   /// Worker threads (0 = worker_count()).
   unsigned threads = 0;
-  /// TZ hierarchy depth (TZ schemes only).
+  /// TZ hierarchy depth.
   std::uint32_t k = 3;
-  /// Landmark sampler (TZ schemes only). Centered (the default) is the
+  /// Landmark sampler. Centered (the default) is the
   /// paper's worst-case-table refinement; Bernoulli trades that bound
   /// for a hierarchy that is a pure function of (seed, n) — under
   /// topology churn the landmark set then never flips, which roughly
@@ -105,7 +102,7 @@ struct RouteServiceOptions {
     /// incompatible store falls back to a fresh build with a recorded
     /// reason), and persists every generation (initial + rebuilds)
     /// atomically after publishing it. This is the one way a service
-    /// starts from disk: it covers every scheme kind, carries the
+    /// starts from disk: it covers both scheme kinds, carries the
     /// generation's own graph, checks the construction options against
     /// the artifact's digest, and survives crashes at any byte (tmp →
     /// fsync → rename + MANIFEST). Empty = persistence off.
@@ -135,11 +132,9 @@ struct RouteServiceOptions {
 /// every query-path structure, owned together. Share as
 /// `std::shared_ptr<const SchemePackage>`; never mutate after build.
 ///
-/// Every SchemeKind serves from pooled SoA state — flat/flat_router for
-/// the TZ kinds, flat_cowen / flat_full for the baselines. The Cowen and
-/// full-table preprocessing objects exist transiently during build and
-/// are dropped once their pooled views are compiled; the TZ scheme stays
-/// (labels, the handshake's pivots and persistence read it).
+/// Both scheme kinds serve from the pooled SoA state in flat/flat_router.
+/// The TZ scheme stays beside it: labels, the handshake's pivots and
+/// persistence read it.
 struct SchemePackage {
   SchemePackage() = default;
   SchemePackage(const SchemePackage&) = delete;
@@ -150,11 +145,9 @@ struct SchemePackage {
   std::unique_ptr<const TZScheme> tz;
   std::unique_ptr<const FlatScheme> flat;
   std::unique_ptr<const FlatRouter> flat_router;
-  std::unique_ptr<const FlatCowen> flat_cowen;     ///< kCowen
-  std::unique_ptr<const FlatFullTable> flat_full;  ///< kFullTable
   double build_seconds = 0;  ///< wall time of build_scheme_package
-  /// Where the flat compile's time/space went (zeros for the non-TZ
-  /// kinds) — surfaced per swap by the rebuild telemetry.
+  /// Where the flat compile's time/space went — surfaced per swap by the
+  /// rebuild telemetry.
   FlatCompileStats flat_stats;
   /// What the delta-aware rebuild reused (used=false for initial builds
   /// and full rebuilds) — the reuse-ratio/phase-timing half of the
@@ -189,8 +182,8 @@ SchemePackagePtr build_scheme_package(std::shared_ptr<const Graph> graph,
 /// byte-identical to build_scheme_package(graph, options) — incremental
 /// rebuilds change the cost of a generation, never its content. Falls
 /// back to a full build (recording why in incr_stats.fallback_reason)
-/// when the scheme kind is not TZ or \p previous is missing or was built
-/// for another vertex set or other construction options. Callers that
+/// when \p previous is missing or was built for another vertex set or
+/// other construction options. Callers that
 /// want a full build call build_scheme_package (RebuildMode::kFull).
 /// Safe to call from a background thread.
 SchemePackagePtr build_scheme_package_incremental(

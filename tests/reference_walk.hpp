@@ -1,18 +1,15 @@
 // The one reference oracle for the serving path: the paper's hop-by-hop
-// walk through the sim/ adapters (route_tz, route_tz_handshake,
-// route_cowen, route_full) over preprocessing rebuilt from the same
-// options and seeds build_scheme_package uses. Tests compare
+// walk through the sim/ adapters (route_tz, route_tz_handshake) over
+// preprocessing rebuilt from the same options and seed
+// build_scheme_package uses. Tests compare
 // RouteService answers against it with same_route: status, length,
 // hops, header bits, stretch, and the path when record_paths is on.
 
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "baseline/cowen.hpp"
-#include "baseline/full_table.hpp"
 #include "core/tz_scheme.hpp"
 #include "service/route_service.hpp"
 #include "sim/simulator.hpp"
@@ -36,26 +33,11 @@ inline ReferenceWalk reference_walk(const Graph& g,
                                     const RouteServiceOptions& opt,
                                     std::span<const RouteQuery> queries) {
   const Simulator sim(g, SimOptions{0, opt.record_paths});
-  std::unique_ptr<TZScheme> tz;
-  std::unique_ptr<CowenScheme> cowen;
-  std::unique_ptr<FullTableScheme> full;
   Rng rng(opt.seed);
-  switch (opt.scheme) {
-    case SchemeKind::kTZDirect:
-    case SchemeKind::kTZHandshake: {
-      TZSchemeOptions topt;
-      topt.pre.k = opt.k;
-      topt.pre.hierarchy.mode = opt.sampling;
-      tz = std::make_unique<TZScheme>(g, topt, rng);
-      break;
-    }
-    case SchemeKind::kCowen:
-      cowen = std::make_unique<CowenScheme>(g, rng);
-      break;
-    case SchemeKind::kFullTable:
-      full = std::make_unique<FullTableScheme>(g);
-      break;
-  }
+  TZSchemeOptions topt;
+  topt.pre.k = opt.k;
+  topt.pre.hierarchy.mode = opt.sampling;
+  const TZScheme tz(g, topt, rng);
 
   ReferenceWalk ref;
   ref.paths.resize(queries.size());
@@ -69,15 +51,9 @@ inline ReferenceWalk reference_walk(const Graph& g,
       if (opt.record_paths) ref.paths[i] = {q.s};
       continue;
     }
-    RouteResult r;
-    switch (opt.scheme) {
-      case SchemeKind::kTZDirect: r = route_tz(sim, *tz, q.s, q.t); break;
-      case SchemeKind::kTZHandshake:
-        r = route_tz_handshake(sim, *tz, q.s, q.t);
-        break;
-      case SchemeKind::kCowen: r = route_cowen(sim, *cowen, q.s, q.t); break;
-      case SchemeKind::kFullTable: r = route_full(sim, *full, q.s, q.t); break;
-    }
+    RouteResult r = opt.scheme == SchemeKind::kTZDirect
+                        ? route_tz(sim, tz, q.s, q.t)
+                        : route_tz_handshake(sim, tz, q.s, q.t);
     a.status = r.status;
     a.length = r.length;
     a.hops = r.hops;

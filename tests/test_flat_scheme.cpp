@@ -179,8 +179,7 @@ TEST(FlatService, MatchesReferenceWalkAtEveryThreadCount) {
   for (const auto& p : pairs) queries.push_back({p.s, p.t, p.exact});
 
   for (const SchemeKind kind :
-       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
-        SchemeKind::kFullTable}) {
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
     RouteServiceOptions opt;
     opt.scheme = kind;
     opt.k = 3;
@@ -248,8 +247,7 @@ TEST(FlatBatch, BatchedMatchesReferenceWalkAcrossKindsAndGroups) {
 
   for (const std::uint32_t k : {2u, 3u, 4u}) {
     for (const SchemeKind kind :
-         {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
-          SchemeKind::kFullTable}) {
+         {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
       RouteServiceOptions opt;
       opt.scheme = kind;
       opt.threads = 2;
@@ -379,42 +377,26 @@ TEST(FlatScheme, ParallelCompileMatchesSerial) {
   }
 }
 
-// Every kind serves from pooled SoA state, and table_bits over that
-// state must match the preprocessing structures' own accounting.
+// Both kinds serve from pooled SoA state, and the served table_bits must
+// match a TZ scheme preprocessed directly from the same options.
 TEST(FlatService, PooledStateMatchesPreprocessingTableBits) {
   Rng grng(31);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 150, grng);
   for (const SchemeKind kind :
-       {SchemeKind::kTZDirect, SchemeKind::kCowen, SchemeKind::kFullTable}) {
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
     RouteServiceOptions opt;
     opt.scheme = kind;
     opt.threads = 1;
     opt.seed = 32;
     RouteService service(g, opt);
-    const SchemePackagePtr pkg = service.package();
+    EXPECT_NE(service.package()->flat, nullptr);
+    TZSchemeOptions topt;
+    topt.pre.k = opt.k;
+    topt.pre.hierarchy.mode = opt.sampling;
     Rng rng(opt.seed);
-    std::unique_ptr<CowenScheme> cowen;
-    std::unique_ptr<FullTableScheme> full;
-    switch (kind) {
-      case SchemeKind::kTZDirect:
-        EXPECT_NE(pkg->flat, nullptr);
-        break;
-      case SchemeKind::kCowen:
-        EXPECT_NE(pkg->flat_cowen, nullptr);
-        cowen = std::make_unique<CowenScheme>(g, rng);
-        break;
-      case SchemeKind::kFullTable:
-        EXPECT_NE(pkg->flat_full, nullptr);
-        full = std::make_unique<FullTableScheme>(g);
-        break;
-      default: break;
-    }
+    const TZScheme reference(g, topt, rng);
     for (VertexId v = 0; v < g.num_vertices(); v += 17) {
-      const std::uint64_t expected =
-          cowen != nullptr  ? cowen->table_bits(v)
-          : full != nullptr ? full->table_bits(v)
-                            : pkg->tz->table_bits(v);
-      EXPECT_EQ(service.table_bits(v), expected)
+      EXPECT_EQ(service.table_bits(v), reference.table_bits(v))
           << scheme_name(kind) << " v=" << v;
     }
   }

@@ -172,10 +172,10 @@ TEST(SchemePackage, PublishRejectsMismatchedGenerations) {
   EXPECT_THROW(service.publish(build_scheme_package(
                    std::make_shared<const Graph>(smaller), opt)),
                std::exception);
-  RouteServiceOptions cowen = opt;
-  cowen.scheme = SchemeKind::kCowen;
+  RouteServiceOptions handshake = opt;
+  handshake.scheme = SchemeKind::kTZHandshake;
   EXPECT_THROW(service.publish(build_scheme_package(
-                   std::make_shared<const Graph>(g), cowen)),
+                   std::make_shared<const Graph>(g), handshake)),
                std::exception);
 }
 
@@ -215,7 +215,8 @@ TEST(HotSwap, DeterministicUnderConcurrentBatchesAtEveryThreadCount) {
   const std::vector<Graph> schedule = churn_schedule(g0, 3, drng);
   const std::vector<RouteQuery> queries = swap_queries(g0, 400);
 
-  for (const SchemeKind kind : {SchemeKind::kTZDirect, SchemeKind::kCowen}) {
+  for (const SchemeKind kind :
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
     // Reference answers per generation, from fresh services (same seed).
     std::vector<std::vector<RouteAnswer>> reference;
     {

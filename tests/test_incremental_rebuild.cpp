@@ -355,14 +355,6 @@ TEST(IncrementalPackage, FallsBackWithRecordedReason) {
   EXPECT_STREQ(p2->incr_stats.fallback_reason,
                "construction options changed");
 
-  // Non-TZ scheme kinds always take the full path.
-  RouteServiceOptions cowen = opt;
-  cowen.scheme = SchemeKind::kCowen;
-  auto c0 = build_scheme_package(std::make_shared<const Graph>(g), cowen);
-  auto c1 = build_scheme_package_incremental(
-      c0, std::make_shared<const Graph>(g), cowen);
-  EXPECT_FALSE(c1->incr_stats.used);
-  EXPECT_STREQ(c1->incr_stats.fallback_reason, "non-tz scheme");
 }
 
 // --- SchemeManager: the default rebuild path -----------------------------

@@ -558,8 +558,7 @@ TEST(NetServe, SocketAnswersByteIdenticalEverySchemeKind) {
   NetFixture fx;
   const VertexId n = fx.g.num_vertices();
   for (const SchemeKind scheme :
-       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
-        SchemeKind::kFullTable}) {
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
     RouteService service(fx.g, fx.options(scheme));
 
     // In-process reference answers.

@@ -1,5 +1,5 @@
 // Tests for the crash-safe artifact tier: the codec's byte-identity
-// round trip (persist/artifact.hpp) across every SchemeKind, the atomic
+// round trip (persist/artifact.hpp) for both SchemeKinds, the atomic
 // publish/recover protocol (persist/artifact_store.hpp) under the fault
 // injector, and the RouteService/SchemeManager lifecycle built on both.
 //
@@ -132,7 +132,7 @@ TEST_P(ArtifactRoundtrip, DecodeThenReencodeIsByteIdentical) {
   ASSERT_EQ(again.size(), bytes.size());
   EXPECT_TRUE(again == bytes);
 
-  // Space accounting survives the trip (table_bits covers every kind).
+  // Space accounting survives the trip.
   for (VertexId v = 0; v < g.num_vertices(); v += 37) {
     EXPECT_EQ(rt->table_bits(v), pkg->table_bits(v)) << "vertex " << v;
   }
@@ -140,9 +140,7 @@ TEST_P(ArtifactRoundtrip, DecodeThenReencodeIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ArtifactRoundtrip,
                          ::testing::Values(SchemeKind::kTZDirect,
-                                           SchemeKind::kTZHandshake,
-                                           SchemeKind::kCowen,
-                                           SchemeKind::kFullTable));
+                                           SchemeKind::kTZHandshake));
 
 // The flat TZ pools are not stored: decode compiles them from the decoded
 // TZ section. They must be exactly the pools a fresh build compiles —
@@ -239,6 +237,32 @@ TEST(ArtifactCorruption, VersionSkewRejects) {
   EXPECT_THROW(persist::decode_package(mut, opt), std::invalid_argument);
 }
 
+// The scheme byte follows the format version (byte 12). Only 0 (tz) and
+// 1 (tz-handshake) name a served kind; 2 and 3 were the Cowen and
+// full-table kinds, which the service no longer has. The byte is checked
+// before the header CRC, so the bare flip is enough to reach the check.
+TEST(ArtifactCorruption, UnknownSchemeKindRejects) {
+  const Graph g = test_graph(10, 120);
+  const RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
+  const std::string bytes = persist::encode_package(*build(g, opt), 1);
+  std::string mut = bytes;
+  mut[12] = '\x02';
+  for (const bool full_decode : {false, true}) {
+    try {
+      if (full_decode) {
+        persist::decode_package(mut, opt);
+      } else {
+        persist::read_artifact_meta(mut);
+      }
+      FAIL() << "scheme byte 2 must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown scheme kind in header"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ArtifactCorruption, AlienAndEmptyInputsReject) {
   const RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
   EXPECT_THROW(persist::read_artifact_meta(""), std::invalid_argument);
@@ -257,7 +281,7 @@ TEST(ArtifactCorruption, OptionsMismatchRejects) {
   other.seed = opt.seed + 1;  // different construction seed → different bytes
   EXPECT_THROW(persist::decode_package(bytes, other), std::invalid_argument);
   RouteServiceOptions wrong_kind = opt;
-  wrong_kind.scheme = SchemeKind::kCowen;
+  wrong_kind.scheme = SchemeKind::kTZHandshake;
   EXPECT_THROW(persist::decode_package(bytes, wrong_kind),
                std::invalid_argument);
 }
@@ -422,12 +446,13 @@ TEST(ArtifactStore, OlderFormatArtifactsAreRejectedAsVersionSkew) {
   // Format 1 also stored the flat TZ pools; formats 1 and 2 carried the
   // serving-path and lookup-layout bytes of the deleted legacy path and
   // FKS layout; formats 1–3 carried the warm-start byte of the deleted
-  // scheme-file start. A store holding any of them must reject it at the
+  // scheme-file start; formats 1–4 could hold the Cowen and full-table
+  // serving pools. A store holding any of them must reject it at the
   // header with the reason recorded, and the service must fall back to a
   // fresh build that says why.
   const Graph g = test_graph(26, 150);
   RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
-  for (const char version : {'\x01', '\x02', '\x03'}) {
+  for (const char version : {'\x01', '\x02', '\x03', '\x04'}) {
     const std::string dir = scratch_dir("store_old_format");
     persist::ArtifactStore store({dir, 2});
     const persist::PublishResult pub =
@@ -503,9 +528,7 @@ TEST_P(PersistLifecycle, RecoveredServiceAnswersIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PersistLifecycle,
                          ::testing::Values(SchemeKind::kTZDirect,
-                                           SchemeKind::kTZHandshake,
-                                           SchemeKind::kCowen,
-                                           SchemeKind::kFullTable));
+                                           SchemeKind::kTZHandshake));
 
 TEST(PersistLifecycle, CorruptStoreDegradesToFreshBuildWithReason) {
   const std::string dir = scratch_dir("svc_degrade");

@@ -156,8 +156,7 @@ TEST(SimdEngine, RoutesMatchReferenceWalkOnEveryIsa) {
   const std::vector<simd::Isa> isas = usable_isas();
   ASSERT_FALSE(isas.empty());
   for (const SchemeKind kind :
-       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake, SchemeKind::kCowen,
-        SchemeKind::kFullTable}) {
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
     RouteServiceOptions opt;
     opt.scheme = kind;
     opt.k = 3;

@@ -1,6 +1,5 @@
-// Unit tests for tree/tree, tree/heavy_path and tree/ancestry: structural
-// invariants, the light-depth ≤ floor(log2 n) theorem, DFS interval
-// nesting, and ancestry labels against the brute-force ancestor relation.
+// Unit tests for tree/tree and tree/heavy_path: structural invariants,
+// the light-depth ≤ floor(log2 n) theorem, and DFS interval nesting.
 
 #include "tree/tree.hpp"
 
@@ -12,7 +11,6 @@
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "graph/spt.hpp"
-#include "tree/ancestry.hpp"
 #include "tree/heavy_path.hpp"
 #include "util/random.hpp"
 
@@ -220,65 +218,6 @@ TEST(HeavyPath, HeadIsTopOfHeavyPath) {
     ASSERT_TRUE(found) << "node " << v;
     // head itself starts the path: either root or reached by a light edge.
     ASSERT_TRUE(t.is_root(head) || h.is_light(head));
-  }
-}
-
-// -------------------------------------------------------------- ancestry ---
-
-TEST(Ancestry, MatchesBruteForce) {
-  Rng rng(10);
-  const Graph g = random_tree(250, rng);
-  const Tree t = tree_of(g, 0);
-  const AncestryLabeling labels(t);
-
-  // Brute-force ancestor sets via parent chains.
-  auto is_ancestor = [&](std::uint32_t u, std::uint32_t v) {
-    std::uint32_t x = v;
-    while (x != kNoLocal) {
-      if (x == u) return true;
-      x = t.is_root(x) ? kNoLocal : t.parent(x);
-    }
-    return false;
-  };
-  for (std::uint32_t u = 0; u < t.size(); u += 7) {
-    for (std::uint32_t v = 0; v < t.size(); v += 5) {
-      ASSERT_EQ(labels.label(u).is_ancestor_of(labels.label(v)),
-                is_ancestor(u, v))
-          << u << " vs " << v;
-    }
-  }
-}
-
-TEST(Ancestry, SelfIsAncestor) {
-  Rng rng(11);
-  const Graph g = random_tree(50, rng);
-  const Tree t = tree_of(g, 0);
-  const AncestryLabeling labels(t);
-  for (std::uint32_t v = 0; v < t.size(); ++v) {
-    EXPECT_TRUE(labels.label(v).is_ancestor_of(labels.label(v)));
-  }
-}
-
-TEST(Ancestry, LabelBitsIsTwoLogN) {
-  Rng rng(12);
-  const Graph g = random_tree(1000, rng);
-  const Tree t = tree_of(g, 0);
-  const AncestryLabeling labels(t);
-  EXPECT_EQ(labels.label_bits(), 2 * bits_for_universe(1001));
-}
-
-TEST(Ancestry, CodecRoundTrip) {
-  Rng rng(13);
-  const Graph g = random_tree(100, rng);
-  const Tree t = tree_of(g, 0);
-  const AncestryLabeling labels(t);
-  BitWriter w;
-  for (std::uint32_t v = 0; v < t.size(); ++v) labels.encode(labels.label(v), w);
-  EXPECT_EQ(w.bit_size(), std::uint64_t{labels.label_bits()} * t.size());
-  BitReader r(w);
-  for (std::uint32_t v = 0; v < t.size(); ++v) {
-    const AncestryLabel l = labels.decode(r);
-    ASSERT_EQ(l, labels.label(v));
   }
 }
 
