@@ -127,7 +127,7 @@ int main(int argc, char** argv) try {
     FlatHeader h = router_eytz.prepare(pairs[0].s, pairs[0].t);
     const std::uint32_t idx = flat_eytz.find(pairs[0].t, top_root);
     h.tree_root = top_root;
-    h.dfs_in = flat_eytz.own_dfs(idx);
+    h.dfs_in = flat_eytz.record(idx).dfs_in;
     h.light = flat_eytz.own_light_ports(idx).data();
     h.light_len =
         static_cast<std::uint32_t>(flat_eytz.own_light_ports(idx).size());
@@ -267,6 +267,25 @@ int main(int argc, char** argv) try {
       run("route/flat-eytzinger", measure_route_scalar(router_eytz));
   const double route_eytz_batched = run(
       "route/flat-eytzinger-batched", measure_route_batched(batch_group));
+  // Bunch key-slice searches per routed query (lower-level B(v) probes;
+  // top-level lookups need none, the rule-0 directory probe is not
+  // counted), from one untimed pass with every generation sampled.
+  const double searches_per_query = [&] {
+    FlatBatchTarget target;
+    target.graph = &g;
+    target.kind = FlatServeKind::kTZDirect;
+    target.flat = &flat_eytz;
+    FlatBatchEngine engine(batch_group);
+    engine.set_stats_sample_every(1);
+    std::vector<FlatBatchQuery> qs(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      qs[i] = FlatBatchQuery{pairs[i].s, pairs[i].t,
+                             flat_eytz.label(pairs[i].t)};
+    }
+    std::vector<FlatBatchAnswer> as(pairs.size());
+    engine.route(target, qs, as);
+    return engine.stats().searches_per_query();
+  }();
 
   // --- G × ISA sweep: the batched route on every SIMD implementation
   // this binary+CPU supports, at each lane-group size. One row per
@@ -343,11 +362,14 @@ int main(int argc, char** argv) try {
               route_decisions, batch_group, route_eytz, route_eytz_batched,
               batched_speedup_eytz, route_eytz * per_dec,
               route_eytz_batched * per_dec);
+  std::printf("batched bunch searches per query: %.2f\n",
+              searches_per_query);
   report.set("legacy_decision_ns", dec_legacy)
       .set("flat_eytzinger_decision_ns", dec_eytz)
       .set("flat_eytzinger_route_ns", route_eytz)
       .set("flat_batched_eytzinger_route_ns", route_eytz_batched)
       .set("route_decisions_per_query", route_decisions)
+      .set("batched_searches_per_query", searches_per_query)
       .set("flat_eytzinger_route_decision_ns", route_eytz * per_dec)
       .set("flat_batched_eytzinger_route_decision_ns",
            route_eytz_batched * per_dec)

@@ -68,6 +68,7 @@ CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
         std::min<std::size_t>(group_, queries.size() - base));
     const auto gen_begin = clock::now();
     live_count_ = 0;
+    gen_searches_ = 0;
     for (std::uint32_t j = 0; j < m; ++j) {
       Lane& lane = lanes_[j];
       const FlatBatchQuery& q = queries[base + j];
@@ -106,8 +107,6 @@ CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
         lane.hs_w = q.s;  // ŵ_0(u) = u
         lane.hs_i = 0;
         lane.hs_done = false;
-        lane.probe = FlatScheme::FindProbe{lane.hs_v, lane.hs_w};
-        target.flat->find_stage0(lane.probe);
       }
       live_[live_count_++] = j;
     }
@@ -129,8 +128,9 @@ CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
       answers[base + j].latency_us = share_us;
     }
 
-    // Sampled occupancy accounting, from the drained generation's
-    // finished answers — the stage loops above never see it.
+    // Sampled occupancy and search accounting, from the drained
+    // generation's finished answers and search count — the stage loops
+    // above never see it.
     if (stats_sample_every_ != 0 && ++gen_seq_ % stats_sample_every_ == 0) {
       std::uint32_t longest = 0;
       std::uint64_t useful = 0;
@@ -143,119 +143,156 @@ CROUTE_HOT void FlatBatchEngine::route(const FlatBatchTarget& target,
       stats_.lanes += m;
       stats_.lane_hops += useful;
       stats_.slots += static_cast<std::uint64_t>(longest) * m;
+      stats_.searches += gen_searches_;
     }
   }
 }
 
-CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
-    const FlatBatchTarget& target) {
-  const FlatScheme* f = target.flat;
-  // Rule 0, lockstep: every lane probes its source's cluster directory
-  // (stage0 prefetches were issued at lane init); the compacted probes
-  // resolve in one SIMD kernel call.
-  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-    f->dir_find_stage1(lanes_[live_[pos]].probe);
+CROUTE_HOT void FlatBatchEngine::search(const FlatScheme& f,
+                                        const std::uint32_t* ids,
+                                        std::uint32_t count, bool directory) {
+  if (directory) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      f.dir_find_stage1(lanes_[ids[i]].probe);
+    }
+  } else {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      f.find_stage1(lanes_[ids[i]].probe);
+    }
   }
   batch_.clear();
-  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-    const FlatScheme::FindProbe& p = lanes_[live_[pos]].probe;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const FlatScheme::FindProbe& p = lanes_[ids[i]].probe;
     batch_.push_slice(p.off, p.len, p.w);
   }
-  f->dir_find_stage2_batch(batch_);
+  if (directory) {
+    f.dir_find_stage2_batch(batch_);
+  } else {
+    f.find_stage2_batch(batch_);
+    gen_searches_ += count;
+  }
+}
+
+CROUTE_HOT void FlatBatchEngine::adopt_candidate(const FlatScheme& f,
+                                                 Lane& lane) const {
+  const FlatScheme::LabelEntryView& e = *lane.lab_it;
+  lane.root = e.w;
+  lane.dfs_in = e.dfs_in;
+  lane.light = lane.lab_pool + e.light_off;
+  lane.light_len = e.light_len;
+  lane.bits = f.header_bits_for(e.light_len);
+}
+
+CROUTE_HOT bool FlatBatchEngine::next_candidate(const FlatScheme& f,
+                                                Lane& lane) const {
+  if (lane.lab_it == lane.lab_end) return false;
+  if (f.top_rank(lane.lab_it->w) != FlatScheme::kNotFound) {
+    adopt_candidate(f, lane);
+    return false;
+  }
+  lane.probe = FlatScheme::FindProbe{lane.s, lane.lab_it->w};
+  f.find_stage0(lane.probe);
+  return true;
+}
+
+CROUTE_HOT bool FlatBatchEngine::stage_meeting(const FlatScheme& f,
+                                               Lane& lane) const {
+  const std::uint32_t rank = f.top_rank(lane.hs_w);
+  if (rank != FlatScheme::kNotFound) {
+    lane.pool_idx = f.top_index(lane.t, rank);
+    f.prefetch_record(lane.pool_idx);
+    return false;
+  }
+  lane.probe = FlatScheme::FindProbe{lane.hs_v, lane.hs_w};
+  f.find_stage0(lane.probe);
+  return true;
+}
+
+CROUTE_HOT void FlatBatchEngine::stage_hop(const FlatScheme& f,
+                                           std::uint32_t id) {
+  Lane& lane = lanes_[id];
+  if (lane.rank != FlatScheme::kNotFound) {
+    lane.pool_idx = f.top_index(lane.here, lane.rank);
+    f.prefetch_record(lane.pool_idx);
+    return;
+  }
+  lane.probe = FlatScheme::FindProbe{lane.here, lane.root};
+  f.find_stage0(lane.probe);
+  scan_[scan_count_++] = id;
+}
+
+CROUTE_HOT void FlatBatchEngine::prepare_tz_direct(
+    const FlatBatchTarget& target) {
+  const FlatScheme& f = *target.flat;
+  // Rule 0, lockstep: every lane probes its source's cluster directory
+  // (stage0 prefetches were issued at lane init).
+  search(f, live_.data(), live_count_, true);
   for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
     Lane& lane = lanes_[live_[pos]];
     lane.pool_idx = batch_.out[pos];
     if (lane.pool_idx != FlatScheme::kNotFound) {
-      f->prefetch_dir_payload(lane.pool_idx);
+      f.prefetch_dir_payload(lane.pool_idx);
     }
   }
   for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
     Lane& lane = lanes_[live_[pos]];
     if (lane.pool_idx == FlatScheme::kNotFound) continue;
-    const std::span<const Port> ports = f->dir_light_ports(lane.pool_idx);
+    const std::span<const Port> ports = f.dir_light_ports(lane.pool_idx);
     lane.root = lane.s;
-    lane.dfs_in = f->dir_dfs(lane.pool_idx);
+    lane.dfs_in = f.dir_dfs(lane.pool_idx);
     lane.light = ports.data();
     lane.light_len = static_cast<std::uint32_t>(ports.size());
-    lane.bits = f->header_bits_for(lane.light_len);
+    lane.bits = f.header_bits_for(lane.light_len);
   }
   // Min-level label scan for the rule-0 misses, lockstep over entries:
-  // each round probes every unresolved lane's current entry (three loops
-  // = the three find stages, so lane A's slice prefetch flies while lanes
-  // B…G descend); the first entry whose pivot is in B(s) wins.
+  // each round probes every unresolved lane's current lower-level entry
+  // (next_candidate issues stage0, search() runs stages 1 and 2 lane
+  // after lane, so lane A's slice prefetch flies while lanes B…G
+  // descend); the first entry whose pivot is in B(s) wins, and a
+  // top-level entry always is.
   scan_count_ = 0;
   for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
     Lane& lane = lanes_[live_[pos]];
-    if (lane.root != kNoVertex) continue;  // rule-0 hit
-    lane.probe = FlatScheme::FindProbe{lane.s, lane.lab_it->w};
-    f->find_stage0(lane.probe);
-    scan_[scan_count_++] = live_[pos];
+    if (lane.root == kNoVertex && next_candidate(f, lane)) {
+      scan_[scan_count_++] = live_[pos];
+    }
   }
   while (scan_count_ > 0) {
-    for (std::uint32_t i = 0; i < scan_count_; ++i) {
-      f->find_stage1(lanes_[scan_[i]].probe);
-    }
-    batch_.clear();
-    for (std::uint32_t i = 0; i < scan_count_; ++i) {
-      const FlatScheme::FindProbe& p = lanes_[scan_[i]].probe;
-      batch_.push_slice(p.off, p.len, p.w);
-    }
-    f->find_stage2_batch(batch_);
+    search(f, scan_.data(), scan_count_, false);
     scan_next_count_ = 0;
     for (std::uint32_t i = 0; i < scan_count_; ++i) {
       Lane& lane = lanes_[scan_[i]];
-      if (batch_.out[i] == FlatScheme::kNotFound) {
-        // The scan continues with the next entry.
-        ++lane.lab_it;
-        CROUTE_ASSERT(lane.lab_it != lane.lab_end,
-                      "no candidate pivot found: top-level landmark "
-                      "missing from the source bunch");
-        lane.probe = FlatScheme::FindProbe{lane.s, lane.lab_it->w};
-        f->find_stage0(lane.probe);
-        scan_next_[scan_next_count_++] = scan_[i];
+      if (batch_.out[i] != FlatScheme::kNotFound) {
+        adopt_candidate(f, lane);
         continue;
       }
-      const FlatScheme::LabelEntryView* chosen = lane.lab_it;
-      lane.root = chosen->w;
-      lane.dfs_in = chosen->dfs_in;
-      lane.light = lane.lab_pool + chosen->light_off;
-      lane.light_len = chosen->light_len;
-      lane.bits = f->header_bits_for(chosen->light_len);
+      ++lane.lab_it;  // the scan continues with the next entry
+      if (next_candidate(f, lane)) {
+        scan_next_[scan_next_count_++] = scan_[i];
+      }
     }
     scan_.swap(scan_next_);
     scan_count_ = scan_next_count_;
-  }
-  // Enter the walk: every lane decides first at its source.
-  for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-    Lane& lane = lanes_[live_[pos]];
-    lane.probe = FlatScheme::FindProbe{lane.here, lane.root};
-    f->find_stage0(lane.probe);
-    target.graph->prefetch_offsets(lane.here);
   }
 }
 
 CROUTE_HOT void FlatBatchEngine::prepare_tz_handshake(
     const FlatBatchTarget& target) {
-  const FlatScheme* f = target.flat;
+  const FlatScheme& f = *target.flat;
   // Bidirectional pivot walks, lockstep: each round runs one membership
   // probe per unresolved lane (as TZRouter::prepare_handshake, with flat
   // probes). A lane whose walk meets switches to the final find(t, w) —
   // unless the meeting probe already was one — and resolves to its
-  // destination-side own label.
+  // destination-side own label. A walk that reaches a top-level pivot
+  // meets there without a probe (stage_meeting).
+  scan_count_ = 0;
   for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-    scan_[pos] = live_[pos];
+    if (stage_meeting(f, lanes_[live_[pos]])) {
+      scan_[scan_count_++] = live_[pos];
+    }
   }
-  scan_count_ = live_count_;
   while (scan_count_ > 0) {
-    for (std::uint32_t i = 0; i < scan_count_; ++i) {
-      f->find_stage1(lanes_[scan_[i]].probe);
-    }
-    batch_.clear();
-    for (std::uint32_t i = 0; i < scan_count_; ++i) {
-      const FlatScheme::FindProbe& p = lanes_[scan_[i]].probe;
-      batch_.push_slice(p.off, p.len, p.w);
-    }
-    f->find_stage2_batch(batch_);
+    search(f, scan_.data(), scan_count_, false);
     scan_next_count_ = 0;
     for (std::uint32_t i = 0; i < scan_count_; ++i) {
       Lane& lane = lanes_[scan_[i]];
@@ -263,41 +300,36 @@ CROUTE_HOT void FlatBatchEngine::prepare_tz_handshake(
       if (idx != FlatScheme::kNotFound) {
         if (lane.hs_done || lane.hs_v == lane.t) {
           lane.pool_idx = idx;
-          f->prefetch_own_label(idx);
+          f.prefetch_record(idx);
           continue;
         }
         lane.hs_done = true;  // meeting found; resolve t's own label next
         lane.probe = FlatScheme::FindProbe{lane.t, lane.hs_w};
-        f->find_stage0(lane.probe);
+        f.find_stage0(lane.probe);
         scan_next_[scan_next_count_++] = scan_[i];
         continue;
       }
       CROUTE_ASSERT(!lane.hs_done,
                     "handshake meeting tree misses the destination");
       ++lane.hs_i;
-      CROUTE_ASSERT(lane.hs_i < f->k(),
+      CROUTE_ASSERT(lane.hs_i < f.k(),
                     "handshake walk exceeded the hierarchy height");
       std::swap(lane.hs_u, lane.hs_v);
       lane.hs_w =
-          f->base().preprocessing().effective_pivot(lane.hs_i, lane.hs_u);
-      lane.probe = FlatScheme::FindProbe{lane.hs_v, lane.hs_w};
-      f->find_stage0(lane.probe);
-      scan_next_[scan_next_count_++] = scan_[i];
+          f.base().preprocessing().effective_pivot(lane.hs_i, lane.hs_u);
+      if (stage_meeting(f, lane)) scan_next_[scan_next_count_++] = scan_[i];
     }
     scan_.swap(scan_next_);
     scan_count_ = scan_next_count_;
   }
   for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
     Lane& lane = lanes_[live_[pos]];
-    const std::span<const Port> ports = f->own_light_ports(lane.pool_idx);
+    const std::span<const Port> ports = f.own_light_ports(lane.pool_idx);
     lane.root = lane.hs_w;
-    lane.dfs_in = f->own_dfs(lane.pool_idx);
+    lane.dfs_in = f.record(lane.pool_idx).dfs_in;
     lane.light = ports.data();
     lane.light_len = static_cast<std::uint32_t>(ports.size());
-    lane.bits = f->header_bits_for(lane.light_len);
-    lane.probe = FlatScheme::FindProbe{lane.here, lane.root};
-    f->find_stage0(lane.probe);
-    target.graph->prefetch_offsets(lane.here);
+    lane.bits = f.header_bits_for(lane.light_len);
   }
 }
 
@@ -305,38 +337,52 @@ CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
                                          std::span<FlatBatchAnswer> answers,
                                          std::vector<VertexId>* path_arena,
                                          std::uint32_t max_hops) {
-  const FlatScheme* f = target.flat;
+  const FlatScheme& f = *target.flat;
   const Graph& g = *target.graph;
+  // Enter the walk: every lane decides first at its source. A direct
+  // lane whose label named no pivot in B(s) has no tree to walk.
+  scan_count_ = 0;
+  for (std::uint32_t pos = 0; pos < live_count_;) {
+    Lane& lane = lanes_[live_[pos]];
+    if (lane.root == kNoVertex) {
+      finish(lane, answers[lane.qi], RouteStatus::kBadPort, path_arena);
+      retire(pos);
+      continue;
+    }
+    lane.rank = f.top_rank(lane.root);
+    stage_hop(f, live_[pos]);
+    g.prefetch_offsets(lane.here);
+    ++pos;
+  }
   while (live_count_ > 0) {
-    // A: per-vertex index metadata → key memory prefetch.
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      f->find_stage1(lanes_[live_[pos]].probe);
+    // A + B, for the lower-level lanes only (stage_hop listed them in
+    // scan_): offsets → key prefetch, then one SIMD kernel call, then
+    // the record prefetch. Top-level lanes computed their record index
+    // and prefetched it at the previous advance.
+    if (scan_count_ > 0) {
+      search(f, scan_.data(), scan_count_, false);
+      for (std::uint32_t i = 0; i < scan_count_; ++i) {
+        const std::uint32_t idx = batch_.out[i];
+        lanes_[scan_[i]].pool_idx = idx;
+        if (idx != FlatScheme::kNotFound) f.prefetch_record(idx);
+      }
     }
-    // B: resolve every lane's probe in one SIMD kernel call, prefetch
-    // the node records.
-    batch_.clear();
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      const FlatScheme::FindProbe& p = lanes_[live_[pos]].probe;
-      batch_.push_slice(p.off, p.len, p.w);
-    }
-    f->find_stage2_batch(batch_);
-    for (std::uint32_t pos = 0; pos < live_count_; ++pos) {
-      Lane& lane = lanes_[live_[pos]];
-      const std::uint32_t idx = batch_.out[pos];
-      CROUTE_ASSERT(idx != FlatScheme::kNotFound,
-                    "packet left the routing tree: vertex has no entry "
-                    "for it");
-      lane.pool_idx = idx;
-      f->prefetch_record(idx);
-    }
-    // C: the O(1) tree decision (same comparisons as FlatRouter::step, in
-    // the same order); completed lanes retire, survivors prefetch their
-    // arc.
+    // C: the O(1) tree decision (FlatNodeRecord::decide, as
+    // FlatRouter::step); completed lanes retire, survivors prefetch their
+    // arc. A lane whose label walked it out of its cluster (no entry
+    // here), or gave no valid port, finishes with kBadPort.
     for (std::uint32_t pos = 0; pos < live_count_;) {
       Lane& lane = lanes_[live_[pos]];
-      const TreeNodeRecord& here = f->record(lane.pool_idx);
       FlatBatchAnswer& a = answers[lane.qi];
-      if (lane.dfs_in == here.dfs_in) {
+      if (lane.pool_idx == FlatScheme::kNotFound) {
+        finish(lane, a, RouteStatus::kBadPort, path_arena);
+        retire(pos);
+        continue;
+      }
+      const TreeDecision d = f.record(lane.pool_idx)
+                                 .decide(lane.dfs_in, lane.light,
+                                         lane.light_len);
+      if (d.deliver) {
         finish(lane, a,
                lane.here == lane.t ? RouteStatus::kDelivered
                                    : RouteStatus::kWrongDeliver,
@@ -344,27 +390,17 @@ CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
         retire(pos);
         continue;
       }
-      if (lane.dfs_in < here.dfs_in || lane.dfs_in >= here.dfs_out) {
-        CROUTE_ASSERT(here.parent_port != kNoPort,
-                      "destination outside the tree reached the root");
-        lane.port = here.parent_port;
-      } else if (lane.dfs_in >= here.heavy_in &&
-                 lane.dfs_in < here.heavy_out && here.heavy_port != kNoPort) {
-        lane.port = here.heavy_port;
-      } else {
-        CROUTE_ASSERT(here.light_depth < lane.light_len,
-                      "label misses the light port for this branch point");
-        lane.port = lane.light[here.light_depth];
-      }
-      if (lane.port >= g.degree(lane.here)) {
+      if (d.port >= g.degree(lane.here)) {
         finish(lane, a, RouteStatus::kBadPort, path_arena);
         retire(pos);
         continue;
       }
+      lane.port = d.port;
       g.prefetch_arc(lane.here, lane.port);
       ++pos;
     }
-    // D: traverse the arc, prefetch the next vertex's index metadata.
+    // D: traverse the arc, stage the next vertex's record read.
+    scan_count_ = 0;
     for (std::uint32_t pos = 0; pos < live_count_;) {
       Lane& lane = lanes_[live_[pos]];
       const Arc& arc = g.arc(lane.here, lane.port);
@@ -377,8 +413,7 @@ CROUTE_HOT void FlatBatchEngine::walk_tz(const FlatBatchTarget& target,
         retire(pos);
         continue;
       }
-      lane.probe = FlatScheme::FindProbe{lane.here, lane.root};
-      f->find_stage0(lane.probe);
+      stage_hop(f, live_[pos]);
       g.prefetch_offsets(lane.here);
       ++pos;
     }

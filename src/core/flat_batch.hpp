@@ -4,12 +4,13 @@
 ///
 /// The flat serving path (core/flat_scheme.hpp) made every query-path
 /// structure a pooled array — but a single query still issues one
-/// *dependent* cache-miss chain: offset entry → key slice → payload record
-/// → graph arc, one load waiting on the previous. On the table sizes the
-/// paper's space bound produces, nearly every link of that chain misses
-/// cache, so the scalar decision is bounded by memory latency, not by
-/// memory bandwidth — the core has room for many outstanding misses and
-/// the scalar loop uses one.
+/// *dependent* cache-miss chain per hop: node record → graph arc (plus
+/// offset entry → key slice before the record in a lower-level tree), one
+/// load waiting on the previous. On the table sizes the paper's space
+/// bound produces, nearly every link of that chain misses cache, so the
+/// scalar decision is bounded by memory latency, not by memory bandwidth
+/// — the core has room for many outstanding misses and the scalar loop
+/// uses one.
 ///
 /// This engine runs G ≈ 8–16 *independent* queries' descents interleaved
 /// (the classic batched-Eytzinger / group-prefetch technique): each lane
@@ -28,15 +29,22 @@
 /// Every walk runs under default_hop_budget (sim/packet.hpp), the bound
 /// route_one's scalar walk and the reference walk share.
 ///
-/// Stage map per hop of the Thorup–Zwick walk at vertex v:
+/// Stage map per hop of the Thorup–Zwick walk at vertex v. A lane in a
+/// top-level tree (every bunch holds all of A_{k−1}; most walks) reads
+/// its record at v·T + rank(root) in the dense block, so its hop is two
+/// stages:
+///   kStepDecide  O(1) tree decision over the record (prefetched at the
+///                previous advance), prefetch the arc;
+///   kStepAdvance traverse the arc, compute the next vertex's record
+///                index and prefetch the record.
+/// A lane in a lower-level tree runs two probe stages first:
 ///   kStepMeta    read CSR offsets (prefetched on arrival), prefetch the
 ///                key slice's lines;
 ///   kStepProbe   branch-free descent → pool index, prefetch the node
-///                record;
-///   kStepDecide  O(1) tree decision over the record, prefetch the arc;
-///   kStepAdvance traverse the arc, prefetch the next vertex's offsets.
+///                record.
 /// Prepare (rule-0 directory probe + min-level label scan) and the
-/// handshake's bidirectional pivot walk are staged the same way.
+/// handshake's bidirectional pivot walk are staged the same way; a
+/// top-level label pivot or handshake meeting resolves without a probe.
 ///
 /// The probe stages are *vectorized* (src/simd/): each round compacts
 /// the live lanes' probes into SoA scratch arrays and resolves them in
@@ -55,6 +63,11 @@
 /// finish a phase early (shorter label scan, earlier delivery) idle
 /// until their generation drains; the next generation then refills all
 /// lanes.
+///
+/// A wire label is untrusted: one whose scan finds no pivot in B(s), or
+/// whose walk leaves a lower-level cluster, reaches the root with its dfs
+/// outside the tree, or misses a light port, finishes its own lane with
+/// kBadPort (no valid port exists) and leaves every other lane alone.
 ///
 /// The engine is scalar state + scratch: one instance per worker thread,
 /// reused across batches (no allocation once warm). RouteService routes
@@ -119,7 +132,8 @@ struct FlatBatchAnswer {
   std::uint32_t path_len = 0;
 };
 
-/// Sampled pipeline-occupancy counters (see set_stats_sample_every).
+/// Sampled pipeline-occupancy and search counters (see
+/// set_stats_sample_every).
 /// Plain members of a per-worker engine: the owning thread writes them,
 /// anyone else reads only across a synchronization edge (RouteService's
 /// driver reads after the pool join).
@@ -133,6 +147,11 @@ struct FlatBatchStats {
   /// lane's hops — a lane that retires early leaves its remaining slots
   /// idle until the generation drains.
   std::uint64_t slots = 0;
+  /// Bunch key-slice searches (lower-level B(v) probes: label scan,
+  /// handshake meeting, walk hops) the sampled generations ran. Top-level
+  /// lookups need none; the rule-0 directory probe (one per direct
+  /// query, whatever the table layout) is not counted.
+  std::uint64_t searches = 0;
 
   /// Fraction of issued pipeline slots doing useful work (0 when no
   /// generation was sampled). Low occupancy means skewed lane lengths —
@@ -140,6 +159,12 @@ struct FlatBatchStats {
   double occupancy() const noexcept {
     return slots > 0
                ? static_cast<double>(lane_hops) / static_cast<double>(slots)
+               : 0;
+  }
+  /// Bunch searches per sampled query (0 when none was sampled).
+  double searches_per_query() const noexcept {
+    return lanes > 0
+               ? static_cast<double>(searches) / static_cast<double>(lanes)
                : 0;
   }
 };
@@ -156,8 +181,9 @@ class FlatBatchEngine {
 
   /// Samples every \p n-th generation into stats() (0 — the default —
   /// disables sampling entirely). Sampling reads the generation's
-  /// finished answers after it drains; the stage loops are untouched, so
-  /// routed bytes are identical with sampling on or off.
+  /// finished answers and its search count (one add per bunch kernel
+  /// call) after it drains; the stage loops are untouched, so routed bytes
+  /// are identical with sampling on or off.
   void set_stats_sample_every(std::uint32_t n) noexcept {
     stats_sample_every_ = n;
   }
@@ -186,6 +212,9 @@ class FlatBatchEngine {
     // staged probe
     FlatScheme::FindProbe probe;
     std::uint32_t pool_idx = 0;
+    /// top_rank(root): the walk's records are at here·T + rank, with no
+    /// probe; kNotFound for a lower-level tree.
+    std::uint32_t rank = FlatScheme::kNotFound;
     // TZ label scan
     const FlatScheme::LabelEntryView* lab_it = nullptr;
     const FlatScheme::LabelEntryView* lab_end = nullptr;
@@ -209,6 +238,30 @@ class FlatBatchEngine {
                std::span<FlatBatchAnswer> answers,
                std::vector<VertexId>* path_arena, std::uint32_t max_hops);
 
+  /// Stages A and B of one probe round: reads the offsets of the lanes
+  /// ids[0..count) and prefetches their key slices, then resolves every
+  /// probe in one SIMD kernel call (bunch slices, or rule-0 directories
+  /// when \p directory); batch_.out[i] answers lane ids[i].
+  CROUTE_HOT void search(const FlatScheme& f, const std::uint32_t* ids,
+                         std::uint32_t count, bool directory);
+  /// Moves a direct lane's label scan to its candidate at lab_it: a
+  /// top-level pivot is in every bunch, so it is chosen on the spot; a
+  /// lower-level one stages a probe of B(s) (returns true). A scan past
+  /// the label's end leaves the lane without a tree.
+  CROUTE_HOT bool next_candidate(const FlatScheme& f, Lane& lane) const;
+  /// Writes the label entry at lab_it (its pivot is in B(s)) into the
+  /// lane's header.
+  CROUTE_HOT void adopt_candidate(const FlatScheme& f, Lane& lane) const;
+  /// Stages the handshake walk's membership probe find(hs_v, hs_w). A
+  /// top-level hs_w is in every bunch: the walks meet on the spot, t's
+  /// own label is t's record in the dense block, and no probe is staged
+  /// (returns false).
+  CROUTE_HOT bool stage_meeting(const FlatScheme& f, Lane& lane) const;
+  /// Stages the record read of lane \p id's next decision at lane.here:
+  /// a top-level lane computes its record index and prefetches it; a
+  /// lower-level lane stages its bunch probe and joins scan_.
+  CROUTE_HOT void stage_hop(const FlatScheme& f, std::uint32_t id);
+
   CROUTE_HOT void finish(Lane& lane, FlatBatchAnswer& answer,
                          RouteStatus status,
                          std::vector<VertexId>* path_arena) const;
@@ -224,11 +277,13 @@ class FlatBatchEngine {
   std::uint32_t group_;
   std::uint32_t stats_sample_every_ = 0;  ///< 0 = sampling off
   std::uint64_t gen_seq_ = 0;             ///< generations since construction
+  std::uint64_t gen_searches_ = 0;  ///< bunch searches, this generation
   FlatBatchStats stats_;
   std::vector<Lane> lanes_;
   std::vector<std::uint32_t> live_;  ///< live lane indices, compacted
   std::uint32_t live_count_ = 0;
-  /// Prepare-phase unresolved lanes and the survivors of a scan round:
+  /// Lanes with a probe to resolve — prepare's unresolved lanes, the
+  /// walk's lower-level lanes — and the survivors of a scan round:
   /// counted arrays pre-sized to group_ (like live_/live_count_), so the
   /// scan loops write slots instead of push_back-ing.
   std::vector<std::uint32_t> scan_;

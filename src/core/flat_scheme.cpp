@@ -13,20 +13,20 @@ namespace {
 
 using flat_detail::eytzinger_find;
 
-/// Fills perm[eytzinger_pos] = sorted_pos for a slice of \p len keys.
+/// Fills slot[sorted_pos] = eytzinger_pos for a slice of \p len keys.
 /// Standard in-order construction over the implicit heap (1-based \p k).
-std::uint32_t fill_eytzinger(std::vector<std::uint32_t>& perm,
+std::uint32_t fill_eytzinger(std::vector<std::uint32_t>& slot,
                              std::uint32_t len, std::uint32_t k,
                              std::uint32_t next) {
   if (k <= len) {
-    next = fill_eytzinger(perm, len, 2 * k, next);
-    perm[k - 1] = next++;
-    next = fill_eytzinger(perm, len, 2 * k + 1, next);
+    next = fill_eytzinger(slot, len, 2 * k, next);
+    slot[next++] = k - 1;
+    next = fill_eytzinger(slot, len, 2 * k + 1, next);
   }
   return next;
 }
 
-/// Runs fn(v, perm_scratch) for every vertex, sharded over \p pool when it
+/// Runs fn(v, slot_scratch) for every vertex, sharded over \p pool when it
 /// has more than one worker. Callers write only to slots derived from v
 /// (all offsets are prefix-summed up front), so the result is
 /// byte-identical at every pool size — including the serial fallback.
@@ -34,16 +34,16 @@ void for_vertices(
     ThreadPool* pool, VertexId n,
     const std::function<void(VertexId, std::vector<std::uint32_t>&)>& fn) {
   if (pool != nullptr && pool->size() > 1 && n > 1) {
-    std::vector<std::vector<std::uint32_t>> perms(pool->size());
+    std::vector<std::vector<std::uint32_t>> slots(pool->size());
     pool->for_each(
         n,
         [&](std::uint64_t v, unsigned worker) {
-          fn(static_cast<VertexId>(v), perms[worker]);
+          fn(static_cast<VertexId>(v), slots[worker]);
         },
         64);
   } else {
-    std::vector<std::uint32_t> perm;
-    for (VertexId v = 0; v < n; ++v) fn(v, perm);
+    std::vector<std::uint32_t> slot;
+    for (VertexId v = 0; v < n; ++v) fn(v, slot);
   }
 }
 
@@ -61,7 +61,7 @@ CROUTE_DETERMINISTIC FlatScheme::FlatScheme(const TZScheme& scheme,
   stats_.threads = pool != nullptr ? std::max(1u, pool->size()) : 1;
 
   const auto t0 = clock::now();
-  compile_tables(pool);
+  std::uint32_t max_len = compile_tables(pool);  // longest own label
   const auto t1 = clock::now();
   compile_directories(pool);
   const auto t2 = clock::now();
@@ -75,10 +75,6 @@ CROUTE_DETERMINISTIC FlatScheme::FlatScheme(const TZScheme& scheme,
   const TreeRoutingScheme::Codec& codec = base_->tree_codec();
   header_fixed_bits_ = std::uint64_t{id_bits} + codec.dfs_bits;
   port_bits_ = codec.port_bits;
-  std::uint32_t max_len = 0;
-  for (const std::uint32_t len : tbl_own_light_len_) {
-    max_len = std::max(max_len, len);
-  }
   for (const std::uint32_t len : dir_light_len_) {
     max_len = std::max(max_len, len);
   }
@@ -99,54 +95,86 @@ CROUTE_DETERMINISTIC FlatScheme::FlatScheme(const TZScheme& scheme,
   stats_.total_ms = ms_between(t0, clock::now());
 }
 
-void FlatScheme::compile_tables(ThreadPool* pool) {
+std::uint32_t FlatScheme::compile_tables(ThreadPool* pool) {
   const VertexId n = graph().num_vertices();
+  const std::vector<VertexId>& top =
+      base_->preprocessing().hierarchy().levels[k() - 1];
+  top_count_ = static_cast<std::uint32_t>(top.size());
+  top_rank_.assign(n, kNotFound);
+  for (std::uint32_t r = 0; r < top_count_; ++r) top_rank_[top[r]] = r;
   // Sizing pass (serial, O(total entries), allocation-free): CSR offsets
-  // plus each vertex's base into the shared light-port pool — the fill
-  // pass can then write disjoint slices in parallel.
-  tbl_off_.assign(std::size_t{n} + 1, 0);
+  // of the lower-level slices plus each vertex's base into the shared
+  // light-port pool — the fill pass can then write disjoint slices in
+  // parallel. Each table lists its entries in ascending w, as A_{k−1}
+  // lists the top level, so one merge walk checks that every bunch holds
+  // exactly A_{k−1} and splits the top-level entries (ranks 0, 1, …, T−1
+  // in order) from the rest.
+  low_off_.assign(std::size_t{n} + 1, 0);
   std::vector<std::uint32_t> light_base(std::size_t{n} + 1, 0);
   std::uint64_t running = 0;       // 64-bit: detect overflow before it wraps
   std::uint64_t light_running = 0;
+  std::uint32_t max_light_len = 0;
   for (VertexId v = 0; v < n; ++v) {
-    const VertexTable& table = base_->table(v);
-    running += table.size();
-    CROUTE_REQUIRE(running < kNotFound, "table pool exceeds the index space");
-    tbl_off_[v + 1] = static_cast<std::uint32_t>(running);
-    for (const TableEntry& e : table.entries()) light_running += e.light_len;
+    std::uint32_t rank = 0;  // next top-level entry expected
+    for (const TableEntry& e : base_->table(v).entries()) {
+      if (rank < top_count_ && e.w == top[rank]) {
+        ++rank;
+      } else {
+        CROUTE_REQUIRE(rank == top_count_ || e.w < top[rank],
+                       "a bunch misses part of the top level A_{k-1}");
+        ++running;
+      }
+      light_running += e.light_len;
+      max_light_len = std::max(max_light_len, e.light_len);
+    }
+    CROUTE_REQUIRE(rank == top_count_,
+                   "a bunch misses part of the top level A_{k-1}");
+    low_off_[v + 1] = static_cast<std::uint32_t>(running);
     CROUTE_REQUIRE(light_running < kNotFound,
                    "light-port pool exceeds the index space");
     light_base[v + 1] = static_cast<std::uint32_t>(light_running);
   }
-  const std::uint32_t total = tbl_off_[n];
-  tbl_key_.resize(total);
-  tbl_record_.resize(total);
-  tbl_own_dfs_.resize(total);
-  tbl_own_light_off_.resize(total);
-  tbl_own_light_len_.resize(total);
+  const std::uint64_t top_total = std::uint64_t{n} * top_count_;
+  CROUTE_REQUIRE(top_total + running < kNotFound,
+                 "table pool exceeds the index space");
+  low_base_ = static_cast<std::uint32_t>(top_total);
+  low_key_.resize(running);
+  tbl_record_.resize(top_total + running);
   tbl_light_pool_.resize(light_base[n]);
 
-  for_vertices(pool, n, [&](VertexId v, std::vector<std::uint32_t>& perm) {
+  for_vertices(pool, n, [&](VertexId v, std::vector<std::uint32_t>& slot) {
     const VertexTable& table = base_->table(v);
-    const std::span<const TableEntry> entries = table.entries();  // sorted
-    const auto len = static_cast<std::uint32_t>(entries.size());
-    perm.resize(len);
-    fill_eytzinger(perm, len, 1, 0);
+    const std::uint32_t low_begin = low_off_[v];
+    const std::uint32_t low_len = low_off_[v + 1] - low_begin;
+    slot.resize(low_len);
+    fill_eytzinger(slot, low_len, 1, 0);
+    std::uint32_t rank = 0;      // next top-level entry (the same merge)
+    std::uint32_t low_next = 0;  // sorted position among the lower ones
     std::uint32_t light_off = light_base[v];
-    for (std::uint32_t p = 0; p < len; ++p) {
-      const TableEntry& e = entries[perm[p]];
-      const std::uint32_t idx = tbl_off_[v] + p;
-      tbl_key_[idx] = e.w;
-      tbl_record_[idx] = e.record;
-      tbl_own_dfs_[idx] = e.record.dfs_in;
+    for (const TableEntry& e : table.entries()) {  // sorted by w
+      std::uint32_t idx = 0;
+      if (rank < top_count_ && e.w == top[rank]) {
+        idx = top_index(v, rank++);  // v's run of T records, rank order
+      } else {
+        const std::uint32_t key = low_begin + slot[low_next++];
+        low_key_[key] = e.w;
+        idx = low_base_ + key;
+      }
+      const TreeNodeRecord& rec = e.record;
+      CROUTE_REQUIRE(
+          rec.heavy_port == kNoPort || rec.heavy_in == rec.dfs_in + 1,
+          "heavy child is not numbered first");
       const std::span<const Port> ports = table.own_light_ports(e);
-      tbl_own_light_off_[idx] = light_off;
-      tbl_own_light_len_[idx] = static_cast<std::uint32_t>(ports.size());
+      tbl_record_[idx] = FlatNodeRecord{
+          rec.dfs_in,      rec.dfs_out,     rec.heavy_out,
+          rec.heavy_port,  rec.parent_port, rec.light_depth,
+          light_off,       static_cast<std::uint32_t>(ports.size())};
       std::copy(ports.begin(), ports.end(),
                 tbl_light_pool_.begin() + light_off);
       light_off += static_cast<std::uint32_t>(ports.size());
     }
   });
+  return max_light_len;
 }
 
 void FlatScheme::compile_directories(ThreadPool* pool) {
@@ -173,16 +201,15 @@ void FlatScheme::compile_directories(ThreadPool* pool) {
   dir_light_len_.resize(total);
   dir_light_pool_.resize(light_base[n]);
 
-  for_vertices(pool, n, [&](VertexId v, std::vector<std::uint32_t>& perm) {
+  for_vertices(pool, n, [&](VertexId v, std::vector<std::uint32_t>& slot) {
     const ClusterDirectory& dir = base_->directory(v);
     const std::span<const VertexId> members = dir.members();  // sorted
     const auto len = static_cast<std::uint32_t>(members.size());
-    perm.resize(len);
-    fill_eytzinger(perm, len, 1, 0);
+    slot.resize(len);
+    fill_eytzinger(slot, len, 1, 0);
     std::uint32_t light_off = light_base[v];
-    for (std::uint32_t p = 0; p < len; ++p) {
-      const std::uint32_t src = perm[p];
-      const std::uint32_t idx = dir_off_[v] + p;
+    for (std::uint32_t src = 0; src < len; ++src) {
+      const std::uint32_t idx = dir_off_[v] + slot[src];
       dir_key_[idx] = members[src];
       dir_dfs_[idx] = dir.dfs_at(src);
       const std::span<const Port> ports = dir.light_ports_at(src);
@@ -234,10 +261,12 @@ void FlatScheme::compile_labels(ThreadPool* pool) {
 
 CROUTE_HOT std::uint32_t FlatScheme::find(VertexId v,
                                           VertexId w) const noexcept {
-  const std::uint32_t off = tbl_off_[v];
-  const std::uint32_t len = tbl_off_[v + 1] - off;
-  const std::uint32_t pos = eytzinger_find(tbl_key_.data() + off, len, w);
-  return pos == len ? kNotFound : off + pos;
+  const std::uint32_t rank = top_rank_[w];
+  if (rank != kNotFound) return top_index(v, rank);
+  const std::uint32_t off = low_off_[v];
+  const std::uint32_t len = low_off_[v + 1] - off;
+  const std::uint32_t pos = eytzinger_find(low_key_.data() + off, len, w);
+  return pos == len ? kNotFound : low_base_ + off + pos;
 }
 
 CROUTE_HOT std::uint32_t FlatScheme::dir_find(VertexId v,
@@ -252,13 +281,11 @@ std::uint64_t FlatScheme::pool_bytes() const noexcept {
   auto bytes = [](const auto& vec) {
     return vec.size() * sizeof(typename std::decay_t<decltype(vec)>::value_type);
   };
-  return bytes(tbl_off_) + bytes(tbl_key_) + bytes(tbl_record_) +
-         bytes(tbl_own_dfs_) + bytes(tbl_own_light_off_) +
-         bytes(tbl_own_light_len_) +
-         bytes(tbl_light_pool_) + bytes(dir_off_) + bytes(dir_key_) +
-         bytes(dir_dfs_) + bytes(dir_light_off_) + bytes(dir_light_len_) +
-         bytes(dir_light_pool_) + bytes(lab_off_) + bytes(lab_entries_) +
-         bytes(lab_light_pool_) + bytes(bits_by_len_);
+  return bytes(top_rank_) + bytes(low_off_) + bytes(low_key_) +
+         bytes(tbl_record_) + bytes(tbl_light_pool_) + bytes(dir_off_) +
+         bytes(dir_key_) + bytes(dir_dfs_) + bytes(dir_light_off_) +
+         bytes(dir_light_len_) + bytes(dir_light_pool_) + bytes(lab_off_) +
+         bytes(lab_entries_) + bytes(lab_light_pool_) + bytes(bits_by_len_);
 }
 
 CROUTE_HOT FlatHeader FlatRouter::prepare(VertexId s, VertexId t) const {
@@ -316,7 +343,7 @@ CROUTE_HOT FlatHeader FlatRouter::prepare_handshake(VertexId s,
   const std::span<const Port> ports = f.own_light_ports(idx);
   return FlatHeader{t,
                     w,
-                    f.own_dfs(idx),
+                    f.record(idx).dfs_in,
                     ports.data(),
                     static_cast<std::uint32_t>(ports.size()),
                     f.header_bits_for(static_cast<std::uint32_t>(ports.size()))};
@@ -327,21 +354,13 @@ CROUTE_HOT TreeDecision FlatRouter::step(VertexId v,
   const std::uint32_t idx = flat_->find(v, header.tree_root);
   CROUTE_ASSERT(idx != FlatScheme::kNotFound,
                 "packet left the routing tree: vertex has no entry for it");
-  // TreeRoutingScheme::decide over non-owning label pieces.
-  const TreeNodeRecord& here = flat_->record(idx);
-  if (header.dfs_in == here.dfs_in) return TreeDecision{true, kNoPort};
-  if (header.dfs_in < here.dfs_in || header.dfs_in >= here.dfs_out) {
-    CROUTE_ASSERT(here.parent_port != kNoPort,
-                  "destination outside the tree reached the root");
-    return TreeDecision{false, here.parent_port};
-  }
-  if (header.dfs_in >= here.heavy_in && header.dfs_in < here.heavy_out &&
-      here.heavy_port != kNoPort) {
-    return TreeDecision{false, here.heavy_port};
-  }
-  CROUTE_ASSERT(here.light_depth < header.light_len,
-                "label misses the light port for this branch point");
-  return TreeDecision{false, header.light[here.light_depth]};
+  const TreeDecision d = flat_->record(idx).decide(
+      header.dfs_in, header.light, header.light_len);
+  CROUTE_ASSERT(d.deliver || d.port != kNoPort,
+                "label cannot be routed here: its destination lies outside "
+                "the tree at the root, or it misses the light port for "
+                "this branch point");
+  return d;
 }
 
 VertexId decode_wire_label(const LabelCodec& codec, VertexId n, BitReader& r,

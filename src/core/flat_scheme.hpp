@@ -10,25 +10,31 @@
 /// a TreeLabel — a heap allocation per query. FlatScheme recompiles an
 /// immutable scheme into structure-of-arrays pools shared by all vertices:
 ///
-///  - **tables**: one CSR over all vertices' bunch entries. The *hot* key
-///    array (tree roots, the only field a lookup compares) is contiguous
-///    and separated from the cold payloads (node record, own-label
-///    slices), so a search touches the minimum number of cache lines;
+///  - **tables**: one pool of 32-byte, 32-byte-aligned FlatNodeRecords
+///    (v's node record in T_w plus its own label's light-port slice; no
+///    record straddles a cache line) in two regions. Every top-level tree
+///    T_w, w ∈ A_{k−1}, spans V (d(A_k, v) = ∞, so A_{k−1} ⊆ B(v) for
+///    every v), so the first n·T records are a dense block: v's record in
+///    T_w sits at v·T + rank(w), T = |A_{k−1}|, addressed by arithmetic
+///    with no key stored. The lower-level entries B(v) \ A_{k−1} follow,
+///    with their keys (tree roots) in a separate CSR of per-vertex slices,
+///    so a search touches the minimum number of cache lines;
 ///  - **directories**: the rule-0 member ids pooled the same way, with
 ///    dfs indices and light-port slices alongside;
 ///  - **labels**: every destination's entries in one pool; tree labels are
 ///    (dfs, slice-into-port-pool) views — nothing owns memory per entry.
 ///
-/// Lookups (`find`, `dir_find`) search per-vertex key slices stored in
-/// the Eytzinger (BFS-of-a-binary-tree) order with the branch-free
-/// descent `i = 2i + (key[i] < w)`: the same O(log |B(v)|) probe count as
-/// `std::lower_bound`, but the first few probes share cache lines and the
-/// loop has no unpredictable branches. The paper's O(1) two-level hash
-/// stays in the reference structures (core/tz_tables.hpp); on the serving
-/// path the per-vertex slices win every measured row, because a walk's
-/// per-hop probes stay in cache where a global hash's slot arrays do not
-/// (bench_micro_decision; ROADMAP "Records", "One serving path", keeps
-/// the numbers).
+/// `find(v, w)` resolves a top-level w in O(1) from the n-sized rank
+/// array. Lower-level lookups (`find` for w ∉ A_{k−1}, `dir_find`) search
+/// per-vertex key slices stored in the Eytzinger (BFS-of-a-binary-tree)
+/// order with the branch-free descent `i = 2i + (key[i] < w)`: the same
+/// O(log |B(v)|) probe count as `std::lower_bound`, but the first few
+/// probes share cache lines and the loop has no unpredictable branches.
+/// The paper's O(1) two-level hash stays in the reference structures
+/// (core/tz_tables.hpp); on the serving path the per-vertex slices win
+/// every measured row, because a walk's per-hop probes stay in cache
+/// where a global hash's slot arrays do not (bench_micro_decision;
+/// ROADMAP "Records", "One serving path", keeps the numbers).
 ///
 /// FlatRouter mirrors TZRouter::prepare (the paper's min-level rule) /
 /// prepare_handshake / step over the flat view with **zero heap
@@ -101,6 +107,42 @@ struct FlatCompileStats {
   unsigned threads = 1;  ///< compile workers used
 };
 
+/// Vertex v's view of one tree T_w on the flat path: its TreeNodeRecord
+/// without heavy_in (HeavyPathDecomposition numbers the heavy child
+/// first, so it is dfs_in + 1 wherever a heavy child exists; the compile
+/// checks it), plus the slice of v's own label in T_w (the handshake's
+/// destination side; its dfs half is dfs_in). One aligned half-line.
+struct alignas(32) FlatNodeRecord {
+  std::uint32_t dfs_in = 0;
+  std::uint32_t dfs_out = 0;    ///< subtree interval [dfs_in, dfs_out)
+  std::uint32_t heavy_out = 0;  ///< heavy child's interval end
+  Port heavy_port = kNoPort;    ///< kNoPort: no heavy child
+  Port parent_port = kNoPort;   ///< kNoPort at the root
+  std::uint32_t light_depth = 0;
+  std::uint32_t own_light_off = 0;  ///< slice into the table light pool
+  std::uint32_t own_light_len = 0;
+
+  /// TreeRoutingScheme::decide over non-owning label pieces, for a
+  /// destination at dfs index \p dfs with light ports light[0, light_len).
+  /// A label the tree cannot route from here — its dfs lies outside the
+  /// tree at the root, or it lacks the light port for this branch point
+  /// — yields {false, kNoPort}, which no vertex has as a port.
+  CROUTE_HOT TreeDecision decide(std::uint32_t dfs, const Port* light,
+                                 std::uint32_t light_len) const noexcept {
+    if (dfs == dfs_in) return TreeDecision{true, kNoPort};
+    if (dfs < dfs_in || dfs >= dfs_out) {
+      return TreeDecision{false, parent_port};
+    }
+    // dfs > dfs_in here, so dfs >= heavy_in = dfs_in + 1 already holds.
+    if (dfs < heavy_out && heavy_port != kNoPort) {
+      return TreeDecision{false, heavy_port};
+    }
+    if (light_depth >= light_len) return TreeDecision{false, kNoPort};
+    return TreeDecision{false, light[light_depth]};
+  }
+};
+static_assert(sizeof(FlatNodeRecord) == 32);
+
 /// The header carried by packets on the flat path. Unlike TZHeader it owns
 /// nothing: `light` points into the FlatScheme pools (or a caller-decoded
 /// buffer) and stays valid as long as the scheme does.
@@ -144,18 +186,33 @@ class FlatScheme {
 
   /// --- bunch lookups ------------------------------------------------------
   /// Pool index of v's entry for tree root w, or kNotFound. This is the
-  /// per-hop operation: one Eytzinger descent over v's key slice.
+  /// per-hop operation: v·T + rank(w) for a top-level w, one Eytzinger
+  /// descent over v's lower-level key slice otherwise.
   CROUTE_HOT std::uint32_t find(VertexId v, VertexId w) const noexcept;
 
+  /// w's rank in A_{k−1} (ascending ids), or kNotFound when w is not a
+  /// top-level center. A top-level w is in every bunch.
+  CROUTE_HOT std::uint32_t top_rank(VertexId w) const noexcept {
+    return top_rank_[w];
+  }
+  /// Pool index of v's record in the top-level tree of rank \p rank —
+  /// find(v, w) for rank = top_rank(w), with no search: v·T + rank, T =
+  /// |A_{k−1}| records per vertex in the dense block.
+  CROUTE_HOT std::uint32_t top_index(VertexId v,
+                                     std::uint32_t rank) const noexcept {
+    return v * top_count_ + rank;
+  }
+
   /// --- staged probes (software-pipelined batch engine) --------------------
-  /// One find split into three rounds so a caller can keep G probes in
-  /// flight and hide each round's cache miss behind the other lanes'
-  /// compute (core/flat_batch.hpp):
+  /// One lower-level find split into three rounds so a caller can keep G
+  /// probes in flight and hide each round's cache miss behind the other
+  /// lanes' compute (core/flat_batch.hpp):
   ///   stage0 — prefetch the CSR offset entry; no loads;
   ///   stage1 — read the offsets, prefetch the key slice's cache lines;
   ///   stage2 — the branch-free descent (batched: find_stage2_batch).
-  /// stage2 yields exactly find(v, w) / dir_find(v, t); the stages only
-  /// move the dependent misses off the critical path.
+  /// stage2 yields exactly find(v, w) / dir_find(v, t) for a w that is
+  /// not top-level (a top-level w needs no probe: top_index); the stages
+  /// only move the dependent misses off the critical path.
   struct FindProbe {
     VertexId v = kNoVertex;
     VertexId w = kNoVertex;
@@ -164,10 +221,10 @@ class FlatScheme {
   };
 
   CROUTE_HOT void find_stage0(const FindProbe& p) const noexcept {
-    CROUTE_PREFETCH(&tbl_off_[p.v]);
+    CROUTE_PREFETCH(&low_off_[p.v]);
   }
   CROUTE_HOT void find_stage1(FindProbe& p) const noexcept {
-    load_slice(tbl_off_, tbl_key_, p);
+    load_slice(low_off_, low_key_, p);
   }
   CROUTE_HOT void dir_find_stage0(const FindProbe& p) const noexcept {
     CROUTE_PREFETCH(&dir_off_[p.v]);
@@ -211,21 +268,17 @@ class FlatScheme {
   /// computed by the selected SIMD implementation (simd::ops() is re-read
   /// per call, so force() / CROUTE_SIMD take effect on the next batch).
   CROUTE_HOT void find_stage2_batch(FindBatchScratch& b) const noexcept {
-    resolve_batch(tbl_key_, b);
+    resolve_batch(low_key_, low_base_, b);
   }
   /// Batched dir_find (rule-0 directory probes).
   CROUTE_HOT void dir_find_stage2_batch(FindBatchScratch& b) const noexcept {
-    resolve_batch(dir_key_, b);
+    resolve_batch(dir_key_, 0, b);
   }
 
   /// Payload prefetches for resolved pool indices (next round's loads).
+  /// A record is one aligned half-line: one prefetch covers it.
   CROUTE_HOT void prefetch_record(std::uint32_t idx) const noexcept {
     CROUTE_PREFETCH(&tbl_record_[idx]);
-  }
-  CROUTE_HOT void prefetch_own_label(std::uint32_t idx) const noexcept {
-    CROUTE_PREFETCH(&tbl_own_dfs_[idx]);
-    CROUTE_PREFETCH(&tbl_own_light_off_[idx]);
-    CROUTE_PREFETCH(&tbl_own_light_len_[idx]);
   }
   CROUTE_HOT void prefetch_dir_payload(std::uint32_t idx) const noexcept {
     CROUTE_PREFETCH(&dir_dfs_[idx]);
@@ -233,21 +286,19 @@ class FlatScheme {
     CROUTE_PREFETCH(&dir_light_len_[idx]);
   }
 
+  /// |B(v)|: T top-level entries plus v's lower-level slice.
   std::uint32_t table_size(VertexId v) const noexcept {
-    return tbl_off_[v + 1] - tbl_off_[v];
+    return top_count_ + low_off_[v + 1] - low_off_[v];
   }
-  CROUTE_HOT const TreeNodeRecord& record(std::uint32_t idx) const noexcept {
+  CROUTE_HOT const FlatNodeRecord& record(std::uint32_t idx) const noexcept {
     return tbl_record_[idx];
   }
-  /// v's own tree label in T_w for entry \p idx (handshake destination
-  /// side), as non-owning pieces.
-  CROUTE_HOT std::uint32_t own_dfs(std::uint32_t idx) const noexcept {
-    return tbl_own_dfs_[idx];
-  }
+  /// Light ports of v's own tree label in T_w for entry \p idx (the
+  /// handshake's destination side; the dfs half is record(idx).dfs_in).
   CROUTE_HOT std::span<const Port> own_light_ports(
       std::uint32_t idx) const noexcept {
-    return {tbl_light_pool_.data() + tbl_own_light_off_[idx],
-            tbl_own_light_len_[idx]};
+    const FlatNodeRecord& r = tbl_record_[idx];
+    return {tbl_light_pool_.data() + r.own_light_off, r.own_light_len};
   }
 
   /// --- rule-0 directory lookups -------------------------------------------
@@ -307,7 +358,8 @@ class FlatScheme {
   const FlatCompileStats& compile_stats() const noexcept { return stats_; }
 
  private:
-  void compile_tables(ThreadPool* pool);
+  /// Returns the longest own-label light slice (sizes bits_by_len_).
+  std::uint32_t compile_tables(ThreadPool* pool);
   void compile_directories(ThreadPool* pool);
   void compile_labels(ThreadPool* pool);
 
@@ -322,28 +374,32 @@ class FlatScheme {
 
   /// The shared batched-stage2 body behind find_stage2_batch /
   /// dir_find_stage2_batch: one kernel call over the compacted probes,
-  /// then the miss/offset mapping find applies.
+  /// then the miss/offset mapping find applies (\p base: the pool index
+  /// of key slot 0).
   CROUTE_HOT static void resolve_batch(const std::vector<VertexId>& keys,
+                                       std::uint32_t base,
                                        FindBatchScratch& b) noexcept {
     simd::ops().eytzinger_batch(keys.data(), b.offs.data(), b.lens.data(),
                                 b.xs.data(), b.out.data(), b.count);
     for (std::uint32_t i = 0; i < b.count; ++i) {
-      b.out[i] = b.out[i] == b.lens[i] ? kNotFound : b.offs[i] + b.out[i];
+      b.out[i] =
+          b.out[i] == b.lens[i] ? kNotFound : base + b.offs[i] + b.out[i];
     }
   }
 
   const TZScheme* base_ = nullptr;
   FlatCompileStats stats_;
 
-  // Tables: CSR over all vertices, keys separated from payloads. Every
-  // per-vertex slice of ALL arrays is stored in that vertex's Eytzinger
-  // permutation (one shared order, no indirection).
-  std::vector<std::uint32_t> tbl_off_;       ///< n+1
-  std::vector<VertexId> tbl_key_;            ///< hot: tree roots
-  std::vector<TreeNodeRecord> tbl_record_;   ///< cold payloads …
-  std::vector<std::uint32_t> tbl_own_dfs_;
-  std::vector<std::uint32_t> tbl_own_light_off_;
-  std::vector<std::uint32_t> tbl_own_light_len_;
+  // Tables: one record pool, the dense top-level block (n·T records,
+  // vertex-major) first, then the lower-level entries, whose keys live in
+  // a CSR of per-vertex slices. Each lower slice of keys and records is
+  // stored in that vertex's Eytzinger permutation (one shared order).
+  std::uint32_t top_count_ = 0;            ///< T = |A_{k−1}|
+  std::uint32_t low_base_ = 0;             ///< n·T: first lower record
+  std::vector<std::uint32_t> top_rank_;    ///< n; rank in A_{k−1}
+  std::vector<std::uint32_t> low_off_;     ///< n+1
+  std::vector<VertexId> low_key_;          ///< hot: lower tree roots
+  std::vector<FlatNodeRecord> tbl_record_;
   std::vector<Port> tbl_light_pool_;
 
   // Directories, pooled the same way (keys = member ids).

@@ -85,6 +85,11 @@ struct NetServer::Impl {
   std::vector<PendingFrame> frames;
   std::vector<Conn*> doomed;  ///< dead conns to reap after the batch
 
+  // QUERY decode scratch, cleared per frame. Request labels alias the
+  // frame's payload (the decoder's buffer), never this vector, so it can
+  // be reused while the batch is pending.
+  std::vector<WireQuery> queries;
+
   // Label pre-validation scratch (reused per frame).
   std::vector<FlatScheme::LabelEntryView> scratch_entries;
   std::vector<Port> scratch_ports;
@@ -388,7 +393,8 @@ void serve_pending(LoopCtx& ctx) {
 void handle_query(LoopCtx& ctx, NetServer::Conn& c, const Frame& f,
                   bool labeled) {
   std::uint64_t req_id = 0;
-  std::vector<WireQuery> queries;
+  std::vector<WireQuery>& queries = ctx.im.queries;
+  queries.clear();
   if (!decode_query(f.payload, labeled, req_id, queries)) {
     if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
     push_error(ctx, c, kErrMalformed, req_id, "QUERY payload did not parse");

@@ -185,6 +185,11 @@ RouteService::RouteService(const Graph& g, const RouteServiceOptions& options)
     gauge_lane_occupancy_ = &metrics_->gauge(
         "croute_batch_lane_occupancy",
         "Sampled fraction of pipeline slots doing useful work");
+    gauge_searches_per_query_ = &metrics_->gauge(
+        "croute_batch_searches_per_query",
+        "Sampled bunch key-slice searches per query (lower-level B(v) "
+        "probes; top-level lookups and the rule-0 directory probe need "
+        "none)");
     // Constant-1 build-info gauge, Prometheus style: the interesting
     // facts ride in the labels so dashboards can join serving metrics
     // against the SIMD implementation that produced them.
@@ -592,8 +597,12 @@ void RouteService::route(std::span<const RouteRequest> requests,
       agg.lanes += s.lanes;
       agg.lane_hops += s.lane_hops;
       agg.slots += s.slots;
+      agg.searches += s.searches;
     }
     if (agg.slots > 0) gauge_lane_occupancy_->set(agg.occupancy());
+    if (agg.lanes > 0) {
+      gauge_searches_per_query_->set(agg.searches_per_query());
+    }
   }
   sink.on_answers(0, answers);
 }

@@ -580,6 +580,7 @@ class RouteService {
   obs::Counter* ctr_straddled_ = nullptr;
   obs::Gauge* gauge_pool_bytes_ = nullptr;
   obs::Gauge* gauge_lane_occupancy_ = nullptr;
+  obs::Gauge* gauge_searches_per_query_ = nullptr;
   obs::Gauge* gauge_build_info_ = nullptr;
 
   // Per-worker path arenas (capacity persists across batches) and the

@@ -4,6 +4,8 @@
 // build_scheme_package uses. Tests compare
 // RouteService answers against it with same_route: status, length,
 // hops, header bits, stretch, and the path when record_paths is on.
+// tree_mix counts which tree kind a query set's walks exercise, so a
+// test can show that both engine branches ran.
 
 #pragma once
 
@@ -67,6 +69,29 @@ inline ReferenceWalk reference_walk(const Graph& g,
                                    nullptr, 0};
   }
   return ref;
+}
+
+/// How many of a query set's walks run in a top-level tree (records in
+/// the dense block, no search per hop) and how many in a lower-level one,
+/// by the tree FlatRouter's prepare (direct) or prepare_handshake picks
+/// on \p pkg. Self-queries walk no tree and count in neither.
+struct TreeMix {
+  std::uint32_t top = 0;
+  std::uint32_t lower = 0;
+};
+
+inline TreeMix tree_mix(const SchemePackage& pkg, SchemeKind kind,
+                        std::span<const RouteQuery> queries) {
+  const TZPreprocessing& pre = pkg.tz->preprocessing();
+  TreeMix mix;
+  for (const RouteQuery& q : queries) {
+    if (q.s == q.t) continue;
+    const FlatHeader h = kind == SchemeKind::kTZDirect
+                             ? pkg.flat_router->prepare(q.s, q.t)
+                             : pkg.flat_router->prepare_handshake(q.s, q.t);
+    ++(pre.center_level(h.tree_root) + 1 == pre.k() ? mix.top : mix.lower);
+  }
+  return mix;
 }
 
 }  // namespace croute

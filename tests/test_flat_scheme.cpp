@@ -78,31 +78,52 @@ void expect_same_walk(const Graph& g, VertexId s, VertexId t,
 }
 
 TEST(FlatScheme, FindMatchesLegacyLookup) {
-  for (const std::uint32_t k : {2u, 3u, 4u}) {
+  for (const std::uint32_t k : {1u, 2u, 3u, 4u}) {
     const FlatFixture fx(k, 150, 100 + k);
     const FlatScheme flat(*fx.scheme);
+    const VertexId n = fx.g.num_vertices();
+    const std::vector<VertexId>& top =
+        fx.scheme->preprocessing().hierarchy().levels[k - 1];
+    const auto top_count = static_cast<std::uint32_t>(top.size());
     Rng probe_rng(7);
-    for (VertexId v = 0; v < fx.g.num_vertices(); ++v) {
-      // Every present key must be found with identical payloads.
-      for (const TableEntry& e : fx.scheme->table(v).entries()) {
+    for (VertexId v = 0; v < n; ++v) {
+      // The dense block: a top-level w resolves to v·T + rank(w).
+      for (std::uint32_t r = 0; r < top_count; ++r) {
+        ASSERT_EQ(flat.top_rank(top[r]), r);
+        ASSERT_EQ(flat.find(v, top[r]), v * top_count + r);
+        ASSERT_EQ(flat.top_index(v, r), v * top_count + r);
+      }
+      // Every w ∈ B(v) is found, with the record and own label of its
+      // VertexTable entry.
+      const VertexTable& table = fx.scheme->table(v);
+      ASSERT_EQ(flat.table_size(v), table.size());
+      for (const TableEntry& e : table.entries()) {
         const std::uint32_t idx = flat.find(v, e.w);
         ASSERT_NE(idx, FlatScheme::kNotFound);
-        EXPECT_EQ(flat.record(idx).dfs_in, e.record.dfs_in);
-        EXPECT_EQ(flat.record(idx).parent_port, e.record.parent_port);
-        const TreeLabel own = fx.scheme->table(v).own_label(e);
-        EXPECT_EQ(flat.own_dfs(idx), own.dfs_in);
+        const FlatNodeRecord& rec = flat.record(idx);
+        EXPECT_EQ(rec.dfs_in, e.record.dfs_in);
+        EXPECT_EQ(rec.dfs_out, e.record.dfs_out);
+        EXPECT_EQ(rec.heavy_out, e.record.heavy_out);
+        EXPECT_EQ(rec.heavy_port, e.record.heavy_port);
+        EXPECT_EQ(rec.parent_port, e.record.parent_port);
+        EXPECT_EQ(rec.light_depth, e.record.light_depth);
+        if (e.record.heavy_port != kNoPort) {
+          EXPECT_EQ(e.record.heavy_in, rec.dfs_in + 1);  // derived field
+        }
+        const TreeLabel own = table.own_label(e);
+        EXPECT_EQ(rec.dfs_in, own.dfs_in);
         const auto ports = flat.own_light_ports(idx);
         ASSERT_EQ(ports.size(), own.light_ports.size());
         for (std::size_t j = 0; j < ports.size(); ++j) {
           EXPECT_EQ(ports[j], own.light_ports[j]);
         }
       }
-      // Random probes agree on membership (mostly misses).
-      for (int r = 0; r < 16; ++r) {
-        const auto w =
-            static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
-        EXPECT_EQ(flat.find(v, w) != FlatScheme::kNotFound,
-                  fx.scheme->lookup(v, w) != nullptr);
+      // Non-members miss: membership agrees with the reference lookup
+      // for every w.
+      for (VertexId w = 0; w < n; ++w) {
+        ASSERT_EQ(flat.find(v, w) != FlatScheme::kNotFound,
+                  fx.scheme->lookup(v, w) != nullptr)
+            << "k=" << k << " v=" << v << " w=" << w;
       }
       // Directory membership agrees as well.
       const ClusterDirectory& dir = fx.scheme->directory(v);
@@ -114,8 +135,7 @@ TEST(FlatScheme, FindMatchesLegacyLookup) {
         EXPECT_EQ(flat.dir_dfs(di), dir.dfs_at(li));
       }
       for (int r = 0; r < 16; ++r) {
-        const auto t =
-            static_cast<VertexId>(probe_rng.next_below(fx.g.num_vertices()));
+        const auto t = static_cast<VertexId>(probe_rng.next_below(n));
         EXPECT_EQ(flat.dir_find(v, t) != FlatScheme::kNotFound,
                   dir.contains(t));
       }
@@ -231,7 +251,9 @@ TEST(FlatService, DestinationMemoMatchesRouteOne) {
 // The batch-pipelined engine must serve byte-identical answers to the
 // reference walk for every scheme kind and every pipeline depth —
 // including a group of 1, ragged final generations (query count not
-// divisible by the group), and self-queries.
+// divisible by the group), and self-queries. k = 1 makes every tree
+// top-level (T = n); per kind, the queries walk both top-level trees
+// (dense block, no search) and lower-level ones (searched slices).
 TEST(FlatBatch, BatchedMatchesReferenceWalkAcrossKindsAndGroups) {
   Rng grng(71);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 260, grng);
@@ -245,9 +267,10 @@ TEST(FlatBatch, BatchedMatchesReferenceWalkAcrossKindsAndGroups) {
     queries.insert(queries.begin() + 37 * (v + 1), RouteQuery{v, v, 0.0});
   }
 
-  for (const std::uint32_t k : {2u, 3u, 4u}) {
-    for (const SchemeKind kind :
-         {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
+  for (const SchemeKind kind :
+       {SchemeKind::kTZDirect, SchemeKind::kTZHandshake}) {
+    TreeMix mix;
+    for (const std::uint32_t k : {1u, 2u, 3u, 4u}) {
       RouteServiceOptions opt;
       opt.scheme = kind;
       opt.threads = 2;
@@ -258,6 +281,14 @@ TEST(FlatBatch, BatchedMatchesReferenceWalkAcrossKindsAndGroups) {
       for (const std::uint32_t group : {1u, 4u, 8u, 16u}) {
         opt.batch_group = group;
         RouteService batched(g, opt);
+        if (group == 1) {
+          const TreeMix m = tree_mix(*batched.package(), kind, queries);
+          if (k == 1) {
+            EXPECT_EQ(m.lower, 0u) << "k = 1 has no lower level";
+          }
+          mix.top += m.top;
+          mix.lower += m.lower;
+        }
         const std::vector<RouteAnswer> answers =
             batched.route_collect(queries);
         ASSERT_EQ(answers.size(), ref.answers.size());
@@ -268,6 +299,8 @@ TEST(FlatBatch, BatchedMatchesReferenceWalkAcrossKindsAndGroups) {
         }
       }
     }
+    EXPECT_GT(mix.top, 0u) << scheme_name(kind);
+    EXPECT_GT(mix.lower, 0u) << scheme_name(kind);
   }
 }
 
@@ -350,11 +383,10 @@ TEST(FlatScheme, ParallelCompileMatchesSerial) {
       const std::uint32_t b = parallel.find(v, e.w);
       ASSERT_EQ(a, b);
       ASSERT_NE(a, FlatScheme::kNotFound);
-      // TreeNodeRecord is seven 32-bit fields: no padding to compare.
+      // FlatNodeRecord is eight 32-bit fields: no padding to compare.
       ASSERT_EQ(std::memcmp(&serial.record(a), &parallel.record(b),
-                            sizeof(TreeNodeRecord)),
+                            sizeof(FlatNodeRecord)),
                 0);
-      ASSERT_EQ(serial.own_dfs(a), parallel.own_dfs(b));
       const auto pa = serial.own_light_ports(a);
       const auto pb = parallel.own_light_ports(b);
       ASSERT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));

@@ -28,6 +28,7 @@
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "service/route_service.hpp"
+#include "service/scheme_package.hpp"
 #include "sim/experiment.hpp"
 #include "util/bit_io.hpp"
 #include "util/random.hpp"
@@ -857,6 +858,258 @@ TEST(NetServe, OversizedAnswerFailsOnlyItsOwnFrame) {
     EXPECT_EQ(errors[2], 1);
     EXPECT_NE(big_error.find("65535"), std::string::npos) << big_error;
     EXPECT_EQ(errors[3], 0);
+  });
+}
+
+TEST(NetServe, BadWireLabelsFailOnlyTheirOwnQueries) {
+  // One QUERY_L frame mixes labels fetched before a publish() of a
+  // rebuilt generation, fresh labels, and labels crafted to reach each
+  // label-dependent dead end of the batch engine; a QUERY_V frame sent in
+  // the same write coalesces with it into one batch. A bad label must
+  // cost only its own query (kBadPort: no valid port exists), never the
+  // batch: no ERROR frame, fresh and vertex-addressed answers equal
+  // route_collect's, stale labels route to whatever their old trees say.
+  NetFixture fx;
+  const VertexId n = fx.g.num_vertices();
+  const RouteServiceOptions opt = fx.options(SchemeKind::kTZDirect);
+  RouteService service(fx.g, opt);
+  // A batch resolves each destination's label once, from the first
+  // request naming it, so every kind of query gets its own destinations.
+  Rng rng(23);
+  std::vector<VertexId> order(n);
+  for (VertexId v = 0; v < n; ++v) order[v] = v;
+  for (VertexId i = n - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.next_below(std::uint64_t{i} + 1)]);
+  }
+  std::vector<bool> used(n, false);
+  std::size_t next = 0;
+  const auto take = [&](std::size_t count) {
+    std::vector<VertexId> out;
+    for (; out.size() < count; ++next) {
+      out.push_back(order[next]);
+      used[order[next]] = true;
+    }
+    return out;
+  };
+  const std::vector<VertexId> vertex_targets = take(24);
+  const std::vector<VertexId> stale_targets = take(16);
+  const std::vector<VertexId> fresh_targets = take(16);
+  const auto source = [&] { return static_cast<VertexId>(rng.next_below(n)); };
+
+  with_server(service, {}, [&](net::NetClient& client,
+                               net::NetServer& server) {
+    const std::vector<net::OwnedLabel> stale =
+        client.fetch_labels(stale_targets);
+    RouteServiceOptions rebuilt = opt;
+    rebuilt.seed = opt.seed + 1;
+    service.publish(build_scheme_package(
+        std::make_shared<const Graph>(fx.g), rebuilt));
+    const std::vector<net::OwnedLabel> fresh =
+        client.fetch_labels(fresh_targets);
+
+    // Crafted labels, against the generation now serving.
+    const SchemePackagePtr pkg = service.package();
+    const TZScheme& tz = *pkg->tz;
+    const FlatScheme& flat = *pkg->flat;
+    const TZPreprocessing& pre = tz.preprocessing();
+    const std::uint32_t k = tz.k();
+    ASSERT_GE(k, 2u);
+    const VertexId landmark = pre.hierarchy().levels[k - 1].front();
+    used[landmark] = true;  // a crafted source; s == t would self-deliver
+    const auto unused = [&](auto&& ok) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (!used[v] && ok(v)) {
+          used[v] = true;
+          return v;
+        }
+      }
+      return kNoVertex;
+    };
+    const auto entry = [](std::uint32_t level, VertexId w,
+                          std::uint32_t dfs, std::vector<Port> ports) {
+      LabelEntry e;
+      e.level = level;
+      e.w = w;
+      e.tree = TreeLabel{dfs, std::move(ports)};
+      return e;
+    };
+    struct Crafted {
+      VertexId s;
+      RoutingLabel label;
+    };
+    std::vector<Crafted> crafted;
+    // (1) A valid label re-encoded without its last light port, sent
+    // from the root of its top-level tree (a landmark source's bunch is
+    // A_{k-1}, so the scan picks that entry): the walk descends to the
+    // branch point that needs the missing port.
+    {
+      const VertexId t = unused([&](VertexId v) {
+        return pre.center_level(v) + 1 < k &&
+               !tz.label(v).entries.back().tree.light_ports.empty();
+      });
+      ASSERT_NE(t, kNoVertex);
+      RoutingLabel l = tz.label(t);
+      l.entries.back().tree.light_ports.pop_back();
+      crafted.push_back({l.entries.back().w, l});
+    }
+    // (2) A dfs index past the top-level tree: the walk reaches the root
+    // with its destination outside the tree.
+    {
+      const std::uint32_t dfs = (1u << tz.tree_codec().dfs_bits) - 1;
+      ASSERT_GE(dfs, n);  // a top-level tree has n nodes
+      const VertexId t = unused([](VertexId) { return true; });
+      crafted.push_back(
+          {landmark, RoutingLabel{t, {entry(k - 1, landmark, dfs, {})}}});
+    }
+    // (3) A single entry naming a level-0 vertex outside B(s): the label
+    // scan runs past the label.
+    {
+      const VertexId w = unused([&](VertexId v) {
+        return pre.center_level(v) == 0 &&
+               flat.find(landmark, v) == FlatScheme::kNotFound;
+      });
+      const VertexId t = unused([](VertexId) { return true; });
+      ASSERT_NE(w, kNoVertex);
+      crafted.push_back(
+          {landmark, RoutingLabel{t, {entry(0, w, 0, {})}}});
+    }
+    // (4) A light port that leaves a lower-level cluster: from the root
+    // w of C(w), a dfs past the heavy subtree takes light port 0, which
+    // the label points at a neighbour outside C(w).
+    {
+      bool found = false;
+      for (VertexId w = 0; w < n && !found; ++w) {
+        if (pre.center_level(w) != 0) continue;
+        const FlatNodeRecord& root = flat.record(flat.find(w, w));
+        if (root.heavy_port == kNoPort || root.heavy_out >= root.dfs_out) {
+          continue;  // no light child at the root
+        }
+        for (Port p = 0; p < fx.g.degree(w) && !found; ++p) {
+          if (flat.find(fx.g.arc(w, p).head, w) != FlatScheme::kNotFound) {
+            continue;
+          }
+          const VertexId t = unused([&](VertexId v) {
+            return flat.dir_find(w, v) == FlatScheme::kNotFound;
+          });
+          ASSERT_NE(t, kNoVertex);
+          crafted.push_back(
+              {w, RoutingLabel{t, {entry(0, w, root.heavy_out, {p})}}});
+          found = true;
+        }
+      }
+      ASSERT_TRUE(found) << "no level-0 cluster with a light child at its "
+                            "root and a neighbour outside";
+    }
+
+    // Frame 1 (vertex-addressed) and frame 2 (stale, fresh, crafted).
+    std::vector<WireQuery> by_vertex;
+    std::vector<RouteQuery> vertex_ref;
+    for (const VertexId t : vertex_targets) {
+      const VertexId s = source();
+      by_vertex.push_back({s, t, {}, 0});
+      vertex_ref.push_back({s, t, kUnknownDistance});
+    }
+    std::vector<net::OwnedLabel> crafted_wire;
+    for (const Crafted& c : crafted) {
+      BitWriter w;
+      tz.label_codec().encode(c.label, w);
+      crafted_wire.push_back(
+          {static_cast<std::uint32_t>(w.bit_size()), to_bytes(w)});
+    }
+    enum class Kind { kStale, kFresh, kCrafted };
+    std::vector<WireQuery> by_label;
+    std::vector<Kind> kinds;
+    std::vector<RouteQuery> label_ref;
+    for (std::size_t i = 0; i < stale.size(); ++i) {
+      const VertexId s = source();
+      by_label.push_back({s, kNoVertex, stale[i].bytes, stale[i].bits});
+      kinds.push_back(Kind::kStale);
+      label_ref.push_back({s, stale_targets[i], kUnknownDistance});
+    }
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      const VertexId s = source();
+      by_label.push_back({s, kNoVertex, fresh[i].bytes, fresh[i].bits});
+      kinds.push_back(Kind::kFresh);
+      label_ref.push_back({s, fresh_targets[i], kUnknownDistance});
+    }
+    for (std::size_t i = 0; i < crafted.size(); ++i) {
+      by_label.push_back({crafted[i].s, kNoVertex, crafted_wire[i].bytes,
+                          crafted_wire[i].bits});
+      kinds.push_back(Kind::kCrafted);
+      label_ref.push_back({crafted[i].s, crafted[i].label.t,
+                           kUnknownDistance});
+    }
+
+    std::vector<std::uint8_t> wire, payload;
+    const auto append = [&](FrameType type) {
+      net::encode_header(static_cast<std::uint8_t>(type), payload.size(),
+                         wire);
+      wire.insert(wire.end(), payload.begin(), payload.end());
+      payload.clear();
+    };
+    net::encode_hello(payload, net::kProtocolVersion);
+    append(FrameType::kHello);
+    net::encode_query(payload, 1, by_vertex, false);
+    append(FrameType::kQueryV);
+    net::encode_query(payload, 2, by_label, true);
+    append(FrameType::kQueryL);
+    const int fd = connect_raw(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+
+    std::map<std::uint64_t, std::vector<WireAnswer>> answers;
+    std::vector<std::string> errors;
+    FrameDecoder dec;
+    while (answers.size() + errors.size() < 2) {
+      std::uint8_t buf[4096];
+      const ssize_t got = ::recv(fd, buf, sizeof buf, 0);
+      ASSERT_GT(got, 0) << "connection closed or timed out";
+      dec.feed(std::span<const std::uint8_t>(buf,
+                                             static_cast<std::size_t>(got)));
+      Frame f;
+      while (dec.next(f)) {
+        std::uint64_t req_id = 0;
+        if (f.type == static_cast<std::uint8_t>(FrameType::kAnswer)) {
+          std::vector<WireAnswer> a;
+          ASSERT_TRUE(net::decode_answer(f.payload, net::kProtocolVersion,
+                                         req_id, a));
+          answers[req_id] = std::move(a);
+        } else if (f.type == static_cast<std::uint8_t>(FrameType::kError)) {
+          std::uint32_t code = 0;
+          std::string message;
+          ASSERT_TRUE(net::decode_error(f.payload, code, req_id, message));
+          errors.push_back(message);
+        }
+      }
+    }
+    ::close(fd);
+    ASSERT_TRUE(errors.empty()) << errors.front();
+    ASSERT_EQ(answers[1].size(), by_vertex.size());
+    ASSERT_EQ(answers[2].size(), by_label.size());
+
+    const std::vector<RouteAnswer> vref = service.route_collect(vertex_ref);
+    for (std::size_t i = 0; i < vref.size(); ++i) {
+      EXPECT_EQ(answers[1][i].status,
+                static_cast<std::uint8_t>(vref[i].status)) << i;
+      EXPECT_EQ(answers[1][i].hops, vref[i].hops) << i;
+      EXPECT_EQ(answers[1][i].header_bits, vref[i].header_bits) << i;
+    }
+    const std::vector<RouteAnswer> lref = service.route_collect(label_ref);
+    std::size_t crafted_seen = 0;
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      const WireAnswer& a = answers[2][i];
+      if (kinds[i] == Kind::kFresh) {
+        EXPECT_EQ(a.status, static_cast<std::uint8_t>(lref[i].status)) << i;
+        EXPECT_EQ(a.hops, lref[i].hops) << i;
+        EXPECT_EQ(a.header_bits, lref[i].header_bits) << i;
+      } else if (kinds[i] == Kind::kCrafted) {
+        EXPECT_EQ(a.status, static_cast<std::uint8_t>(RouteStatus::kBadPort))
+            << "crafted label " << crafted_seen;
+        ++crafted_seen;
+      }
+    }
+    EXPECT_EQ(crafted_seen, 4u);
   });
 }
 

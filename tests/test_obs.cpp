@@ -478,13 +478,19 @@ TEST(ServiceObs, BatchEngineOccupancySampling) {
   service.route_collect(traffic);
   const obs::MetricsSnapshot snap =
       obs::snapshot_metrics(*service.metrics_registry());
-  double occupancy = -1;
+  double occupancy = -1, searches = -1;
   for (const auto& gauge : snap.gauges) {
     if (gauge.name == "croute_batch_lane_occupancy") occupancy = gauge.value;
+    if (gauge.name == "croute_batch_searches_per_query") {
+      searches = gauge.value;
+    }
   }
   ASSERT_GE(occupancy, 0.0);
   EXPECT_GT(occupancy, 0.0);  // sampled generations did useful work
   EXPECT_LE(occupancy, 1.0);  // never more slots useful than issued
+  // k = 2: a direct query that misses rule 0 probes its level-0 label
+  // entry in B(s) before the top-level entry resolves with no search.
+  EXPECT_GT(searches, 0.0);
 }
 
 }  // namespace

@@ -140,7 +140,9 @@ TEST(SimdKernels, EytzingerBatchMatchesScalarOnEveryIsa) {
 // kind × batch group × thread count, every RouteService::route answer
 // compared against the sim/ reference walk. One service per (kind, G,
 // threads) is reused across ISAs — the engine re-reads simd::ops() per
-// probe round, so a force takes effect on the next batch.
+// probe round, so a force takes effect on the next batch. Per kind the
+// queries walk both top-level trees (dense block) and lower-level ones
+// (searched slices), so every cell of the matrix runs both branches.
 TEST(SimdEngine, RoutesMatchReferenceWalkOnEveryIsa) {
   Rng grng(171);
   const Graph g = make_workload(GraphFamily::kErdosRenyi, 220, grng);
@@ -167,6 +169,9 @@ TEST(SimdEngine, RoutesMatchReferenceWalkOnEveryIsa) {
       // route_one keeps its own scalar walk, which depends on neither
       // the ISA nor G: once per kind covers it.
       const RouteService service(g, opt);
+      const TreeMix mix = tree_mix(*service.package(), kind, queries);
+      EXPECT_GT(mix.top, 0u) << scheme_name(kind);
+      EXPECT_GT(mix.lower, 0u) << scheme_name(kind);
       for (std::size_t i = 0; i < queries.size(); ++i) {
         ASSERT_TRUE(same_route(ref.answers[i], service.route_one(queries[i])))
             << scheme_name(kind) << " route_one diverges at query " << i;
